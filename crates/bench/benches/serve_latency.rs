@@ -321,8 +321,7 @@ fn bench_serve_latency(c: &mut Criterion) {
 }
 
 /// Live threads whose `comm` starts with `teal-serve` — the server-side
-/// thread population (epoll loop, accept loop, per-connection pairs,
-/// shard dispatchers). `comm` truncates names to 15 bytes, which
+/// thread population (epoll loop, shard dispatchers). `comm` truncates names to 15 bytes, which
 /// preserves the prefix; client readers (`teal-client-*`) and nn pool
 /// workers (`teal-nn-*`) don't match.
 fn serve_thread_count() -> usize {
@@ -370,16 +369,14 @@ fn gauge(id: String, value: f64) -> BenchRecord {
     }
 }
 
-/// The connection-scale A/B: 1,024 idle keepalive connections parked on
-/// the server plus 4 active pipelined clients, served by the epoll
-/// event-loop front end vs the thread-per-connection baseline **in the
-/// same run**. Per arm, the bench records the active clients' request
-/// latency, the wire overhead (client round trip minus the daemon's own
-/// per-request latency — the codec + loopback + front-end share), the
-/// `teal-serve` thread population, and process RSS, all measured while
-/// the 1,024 idle connections are attached. Two assertions gate the run:
-/// the event-loop arm's threads ≤ shards + 3, and its wire-overhead p99
-/// must not exceed the threaded arm's.
+/// Connection scale: 1,024 idle keepalive connections parked on the
+/// server plus 4 active pipelined clients, all multiplexed by the epoll
+/// event loop. The bench records the active clients' request latency, the
+/// wire overhead (client round trip minus the daemon's own per-request
+/// latency — the codec + loopback + front-end share), the `teal-serve`
+/// thread population, and process RSS, all measured while the 1,024 idle
+/// connections are attached. One assertion gates the run: server threads
+/// ≤ shards + 3, however many connections attach.
 fn bench_connection_scale(c: &mut Criterion) {
     const IDLE_CONNS: usize = 1024;
     const ACTIVE: usize = 4;
@@ -396,185 +393,156 @@ fn bench_connection_scale(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    // (tag, wire-overhead p99 ns, server threads added by this arm).
-    let mut arms: Vec<(&'static str, f64, usize)> = Vec::new();
+    let tag = "event_loop";
+    // Threads are counted as a delta so an earlier group's not-yet-reaped
+    // exiters can't be charged to this one.
+    let thread_floor = serve_thread_count();
 
-    for (tag, event_loop) in [("event_loop", true), ("threaded", false)] {
-        // Threads are counted as a delta so a prior arm's not-yet-reaped
-        // exiters can't be charged to this one.
-        let thread_floor = serve_thread_count();
-
-        let registry = ModelRegistry::new();
-        for w in &loads {
-            registry.insert(
-                w.id,
-                ServingContext::new(
-                    TealModel::new(
-                        Arc::clone(w.ctx.env()),
-                        TealConfig {
-                            gnn_layers: 3,
-                            ..TealConfig::default()
-                        },
-                    ),
-                    EngineConfig::paper_default(w.ctx.env().topo().num_nodes()),
+    let registry = ModelRegistry::new();
+    for w in &loads {
+        registry.insert(
+            w.id,
+            ServingContext::new(
+                TealModel::new(
+                    Arc::clone(w.ctx.env()),
+                    TealConfig {
+                        gnn_layers: 3,
+                        ..TealConfig::default()
+                    },
                 ),
-            );
-        }
-        let daemon = Arc::new(ServeDaemon::start(
-            registry,
-            ServeConfig {
-                event_loop,
-                ..ServeConfig::default()
-            },
-        ));
-        let server =
-            TealServer::bind(Arc::clone(&daemon), "127.0.0.1:0").expect("bind scale server");
-        let addr = server.local_addr();
-
-        // The idle population: raw sockets that complete a real HELLO
-        // handshake and then just sit there — the production posture the
-        // event loop exists for. Raw `TcpStream`s rather than `TealClient`s
-        // so the *client* side doesn't spawn 1,024 reader threads.
-        let mut buf = Vec::new();
-        let idle: Vec<std::net::TcpStream> = (0..IDLE_CONNS)
-            .map(|i| {
-                let mut s = std::net::TcpStream::connect(addr)
-                    .unwrap_or_else(|e| panic!("idle connection {i}: {e}"));
-                wire::encode_hello(&mut buf);
-                wire::write_frame(&mut s, &buf).expect("idle hello");
-                assert!(wire::read_frame(&mut s, &mut buf).expect("idle hello_ok"));
-                wire::decode_hello_ok(&buf).expect("idle handshake");
-                s
-            })
-            .collect();
-
-        let clients: Vec<TealClient> = (0..ACTIVE)
-            .map(|_| TealClient::connect(addr).expect("active client connect"))
-            .collect();
-
-        // (client round trip, daemon-reported latency) per request, in ns.
-        // A mutex (not a RefCell) because the active clients are scoped
-        // threads; they only take it once per iteration, off the timed
-        // submit/wait path's critical section.
-        let samples = std::sync::Mutex::new(Vec::<(f64, f64)>::new());
-        group.bench_with_input(BenchmarkId::new(tag, &label), &(), |b, _| {
-            b.iter(|| {
-                std::thread::scope(|s| {
-                    let mut handles = Vec::new();
-                    for (t, client) in clients.iter().enumerate() {
-                        let loads = &loads;
-                        let stream = &stream;
-                        let samples = &samples;
-                        handles.push(s.spawn(move || {
-                            let tickets: Vec<_> = stream
-                                .iter()
-                                .skip(t)
-                                .step_by(ACTIVE)
-                                .map(|&(w, i)| {
-                                    (
-                                        std::time::Instant::now(),
-                                        client.submit(&SubmitRequest::new(
-                                            loads[w].id,
-                                            loads[w].tms[i].clone(),
-                                        )),
-                                    )
-                                })
-                                .collect();
-                            let mut local = Vec::with_capacity(tickets.len());
-                            for (t0, ticket) in tickets {
-                                let reply = ticket.wait().expect("served at scale");
-                                local.push((
-                                    t0.elapsed().as_nanos() as f64,
-                                    reply.latency.as_nanos() as f64,
-                                ));
-                            }
-                            samples.lock().expect("samples").extend(local);
-                        }));
-                    }
-                    for h in handles {
-                        h.join().expect("active client thread");
-                    }
-                })
-            })
-        });
-
-        // Gauges, measured while all 1,024 idle connections are attached.
-        let threads = serve_thread_count() - thread_floor;
-        let rss = rss_kib();
-        criterion::push_record(gauge(
-            format!("connection_scale/{tag}/server_threads"),
-            threads as f64,
-        ));
-        criterion::push_record(gauge(format!("connection_scale/{tag}/rss_kib"), rss as f64));
-
-        let pctl = |sorted: &[f64], q: f64| -> f64 {
-            let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-            sorted[rank - 1]
-        };
-        let samples = samples.into_inner().expect("samples");
-        let mut rtt: Vec<f64> = samples.iter().map(|&(r, _)| r).collect();
-        // Wire overhead: what the front end adds on top of the daemon's
-        // own queue+solve+write span. The round trip strictly contains
-        // that span, so the difference is nonnegative.
-        let mut overhead: Vec<f64> = samples.iter().map(|&(r, d)| r - d).collect();
-        rtt.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        overhead.sort_by(|a, b| a.partial_cmp(b).expect("finite overhead"));
-        for (kind, sorted) in [("request_latency", &rtt), ("wire_overhead", &overhead)] {
-            let n = sorted.len();
-            criterion::push_record(BenchRecord {
-                id: format!("connection_scale/{tag}/{kind}"),
-                mean_ns: sorted.iter().sum::<f64>() / n as f64,
-                min_ns: sorted[0],
-                max_ns: sorted[n - 1],
-                p50_ns: pctl(sorted, 0.50),
-                p99_ns: pctl(sorted, 0.99),
-                samples: n,
-                iters: 1,
-            });
-        }
-        eprintln!(
-            "connection_scale/{tag}: {IDLE_CONNS} idle + {ACTIVE} active, {} server threads, \
-             RSS {:.1} MiB, request p50/p99 {:.3}/{:.3} ms, wire overhead p50/p99 {:.3}/{:.3} ms",
-            threads,
-            rss as f64 / 1024.0,
-            pctl(&rtt, 0.50) / 1e6,
-            pctl(&rtt, 0.99) / 1e6,
-            pctl(&overhead, 0.50) / 1e6,
-            pctl(&overhead, 0.99) / 1e6,
+                EngineConfig::paper_default(w.ctx.env().topo().num_nodes()),
+            ),
         );
-        arms.push((tag, pctl(&overhead, 0.99), threads));
-
-        drop(clients);
-        drop(idle);
-        drop(server);
     }
+    let daemon = Arc::new(ServeDaemon::with_defaults(registry));
+    let server = TealServer::bind(Arc::clone(&daemon), "127.0.0.1:0").expect("bind scale server");
+    let addr = server.local_addr();
+
+    // The idle population: raw sockets that complete a real HELLO
+    // handshake and then just sit there — the production posture the
+    // event loop exists for. Raw `TcpStream`s rather than `TealClient`s
+    // so the *client* side doesn't spawn 1,024 reader threads.
+    let mut buf = Vec::new();
+    let idle: Vec<std::net::TcpStream> = (0..IDLE_CONNS)
+        .map(|i| {
+            let mut s = std::net::TcpStream::connect(addr)
+                .unwrap_or_else(|e| panic!("idle connection {i}: {e}"));
+            wire::encode_hello(&mut buf);
+            wire::write_frame(&mut s, &buf).expect("idle hello");
+            let mut decoder = wire::FrameDecoder::new();
+            let hello_ok = decoder
+                .read_frame(&mut s)
+                .expect("idle hello_ok")
+                .expect("server closed during idle handshake");
+            wire::decode_hello_ok(hello_ok).expect("idle handshake");
+            s
+        })
+        .collect();
+
+    let clients: Vec<TealClient> = (0..ACTIVE)
+        .map(|_| TealClient::connect(addr).expect("active client connect"))
+        .collect();
+
+    // (client round trip, daemon-reported latency) per request, in ns.
+    // A mutex (not a RefCell) because the active clients are scoped
+    // threads; they only take it once per iteration, off the timed
+    // submit/wait path's critical section.
+    let samples = std::sync::Mutex::new(Vec::<(f64, f64)>::new());
+    group.bench_with_input(BenchmarkId::new(tag, &label), &(), |b, _| {
+        b.iter(|| {
+            std::thread::scope(|s| {
+                let mut handles = Vec::new();
+                for (t, client) in clients.iter().enumerate() {
+                    let loads = &loads;
+                    let stream = &stream;
+                    let samples = &samples;
+                    handles.push(s.spawn(move || {
+                        let tickets: Vec<_> = stream
+                            .iter()
+                            .skip(t)
+                            .step_by(ACTIVE)
+                            .map(|&(w, i)| {
+                                (
+                                    std::time::Instant::now(),
+                                    client.submit(&SubmitRequest::new(
+                                        loads[w].id,
+                                        loads[w].tms[i].clone(),
+                                    )),
+                                )
+                            })
+                            .collect();
+                        let mut local = Vec::with_capacity(tickets.len());
+                        for (t0, ticket) in tickets {
+                            let reply = ticket.wait().expect("served at scale");
+                            local.push((
+                                t0.elapsed().as_nanos() as f64,
+                                reply.latency.as_nanos() as f64,
+                            ));
+                        }
+                        samples.lock().expect("samples").extend(local);
+                    }));
+                }
+                for h in handles {
+                    h.join().expect("active client thread");
+                }
+            })
+        })
+    });
+
+    // Gauges, measured while all 1,024 idle connections are attached.
+    let threads = serve_thread_count() - thread_floor;
+    let rss = rss_kib();
+    criterion::push_record(gauge(
+        format!("connection_scale/{tag}/server_threads"),
+        threads as f64,
+    ));
+    criterion::push_record(gauge(format!("connection_scale/{tag}/rss_kib"), rss as f64));
+
+    let pctl = |sorted: &[f64], q: f64| -> f64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+        sorted[rank - 1]
+    };
+    let samples = samples.into_inner().expect("samples");
+    let mut rtt: Vec<f64> = samples.iter().map(|&(r, _)| r).collect();
+    // Wire overhead: what the front end adds on top of the daemon's
+    // own queue+solve+write span. The round trip strictly contains
+    // that span, so the difference is nonnegative.
+    let mut overhead: Vec<f64> = samples.iter().map(|&(r, d)| r - d).collect();
+    rtt.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
+    overhead.sort_by(|a, b| a.partial_cmp(b).expect("finite overhead"));
+    for (kind, sorted) in [("request_latency", &rtt), ("wire_overhead", &overhead)] {
+        let n = sorted.len();
+        criterion::push_record(BenchRecord {
+            id: format!("connection_scale/{tag}/{kind}"),
+            mean_ns: sorted.iter().sum::<f64>() / n as f64,
+            min_ns: sorted[0],
+            max_ns: sorted[n - 1],
+            p50_ns: pctl(sorted, 0.50),
+            p99_ns: pctl(sorted, 0.99),
+            samples: n,
+            iters: 1,
+        });
+    }
+    eprintln!(
+        "connection_scale/{tag}: {IDLE_CONNS} idle + {ACTIVE} active, {} server threads, \
+         RSS {:.1} MiB, request p50/p99 {:.3}/{:.3} ms, wire overhead p50/p99 {:.3}/{:.3} ms",
+        threads,
+        rss as f64 / 1024.0,
+        pctl(&rtt, 0.50) / 1e6,
+        pctl(&rtt, 0.99) / 1e6,
+        pctl(&overhead, 0.50) / 1e6,
+        pctl(&overhead, 0.99) / 1e6,
+    );
+    // The idle population stayed attached through every measurement.
+    drop(idle);
     group.finish();
 
-    // The PR's acceptance bars, checked on the same-run records.
-    let by_tag: std::collections::HashMap<&str, (f64, usize)> = arms
-        .iter()
-        .map(|&(tag, p99, threads)| (tag, (p99, threads)))
-        .collect();
-    let (event_p99, event_threads) = by_tag["event_loop"];
-    let (threaded_p99, threaded_threads) = by_tag["threaded"];
     let shards = loads.len();
     assert!(
-        event_threads <= shards + 3,
+        threads <= shards + 3,
         "event loop multiplexes {IDLE_CONNS} connections on a fixed thread budget: \
-         {event_threads} server threads > shards + 3 = {}",
+         {threads} server threads > shards + 3 = {}",
         shards + 3
-    );
-    eprintln!(
-        "connection_scale: wire-overhead p99 event_loop {:.3} ms vs threaded {:.3} ms \
-         ({:.2}x), server threads {event_threads} vs {threaded_threads}",
-        event_p99 / 1e6,
-        threaded_p99 / 1e6,
-        threaded_p99 / event_p99
-    );
-    assert!(
-        event_p99 <= threaded_p99,
-        "event-loop wire-overhead p99 regressed past the threaded arm: \
-         {event_p99} ns vs {threaded_p99} ns"
     );
 }
 

@@ -142,7 +142,16 @@ pub fn load_str(store: &mut ParamStore, data: &str) -> Result<(), CheckpointErro
                 let bits = u32::from_str_radix(tok, 16).map_err(|_| {
                     CheckpointError::Format(format!("tensor {name}: bad value {tok:?}"))
                 })?;
-                data.push(f32::from_bits(bits));
+                let v = f32::from_bits(bits);
+                // A NaN/Inf weight poisons every forward pass while
+                // still producing finite-looking allocations downstream;
+                // refuse it at the boundary.
+                if !v.is_finite() {
+                    return Err(CheckpointError::Format(format!(
+                        "tensor {name}: non-finite value {v} in row {r}"
+                    )));
+                }
+                data.push(v);
             }
         }
         if data.len() != rows * cols {
@@ -256,6 +265,28 @@ mod tests {
         // Truncate mid-tensor.
         let cut = text.len() / 2;
         assert!(load_str(&mut store, &text[..cut]).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        let store = sample_store(1);
+        let text = to_string(&store);
+        let mut target = sample_store(2);
+        let before = target.snapshot();
+        // Replace the last value with NaN, +Inf and -Inf in turn.
+        let (head, _) = text.trim_end().rsplit_once(' ').unwrap();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let poisoned = format!("{head} {:08x}\n", bad.to_bits());
+            match load_str(&mut target, &poisoned) {
+                Err(CheckpointError::Format(m)) => {
+                    assert!(m.contains("logstd"), "error must name the tensor: {m}")
+                }
+                other => panic!("non-finite {bad} accepted: {other:?}"),
+            }
+        }
+        for (t, b) in target.snapshot().iter().zip(&before) {
+            assert!(t.approx_eq(b, 0.0), "store mutated by rejected load");
+        }
     }
 
     #[test]

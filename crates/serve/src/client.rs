@@ -134,10 +134,13 @@ impl TealClient {
         let mut buf = Vec::new();
         wire::encode_hello(&mut buf);
         wire::write_frame(&mut stream, &buf)?;
-        match wire::read_frame(&mut stream, &mut buf) {
-            Ok(true) => wire::decode_hello_ok(&buf)
+        // The reader thread inherits this decoder: any bytes that arrived
+        // behind HELLO_OK are already buffered in it.
+        let mut decoder = wire::FrameDecoder::new();
+        match decoder.read_frame(&mut stream) {
+            Ok(Some(frame)) => wire::decode_hello_ok(frame)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?,
-            Ok(false) => {
+            Ok(None) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::ConnectionAborted,
                     "server closed during handshake (version rejected?)",
@@ -159,7 +162,9 @@ impl TealClient {
         let reader = {
             let shared = Arc::clone(&shared);
             let stream = stream.try_clone()?;
-            thread::spawn_named("teal-client-reader", move || reader_loop(stream, &shared))
+            thread::spawn_named("teal-client-reader", move || {
+                reader_loop(stream, decoder, &shared)
+            })
         };
         Ok(TealClient {
             writer: Mutex::new((stream.try_clone()?, Vec::new())),
@@ -298,12 +303,13 @@ impl Drop for TealClient {
 
 /// Match incoming REPLY/STATS_OK frames to pending tickets and stats
 /// slots by id until the connection ends; then fail whatever is left.
-fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
-    let mut buf = Vec::new();
-    while let Ok(true) = wire::read_frame(&mut stream, &mut buf) {
-        match wire::peek_kind(&buf) {
+fn reader_loop(mut stream: TcpStream, mut decoder: wire::FrameDecoder, shared: &ClientShared) {
+    // EOF, a socket error, an oversized length prefix and a hangup
+    // mid-frame all end the loop the same way: the connection is dead.
+    while let Ok(Some(frame)) = decoder.read_frame(&mut stream) {
+        match wire::peek_kind(frame) {
             Ok(wire::Kind::Reply) => {
-                let Ok((id, result)) = wire::decode_reply(&buf) else {
+                let Ok((id, result)) = wire::decode_reply(frame) else {
                     break;
                 };
                 let slot = shared.pending.lock().remove(&id);
@@ -318,7 +324,7 @@ fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
                 }
             }
             Ok(wire::Kind::StatsOk) => {
-                let Ok((id, snap)) = wire::decode_stats_reply(&buf) else {
+                let Ok((id, snap)) = wire::decode_stats_reply(frame) else {
                     break;
                 };
                 let slot = shared.stats_pending.lock().remove(&id);

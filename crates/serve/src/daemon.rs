@@ -159,14 +159,6 @@ pub struct ServeConfig {
     /// maximum — typically 5 — otherwise). Downgrades are counted in
     /// [`crate::AdmmStats::budget_downgrades`].
     pub pressured_budget: usize,
-    /// Front-end mode for [`crate::TealServer`]: `true` (default) drives
-    /// all connections from one epoll event-loop thread (`crate::net`);
-    /// `false` falls back to the previous thread-per-connection front end
-    /// (two OS threads per connection), retained for one release as the
-    /// A/B baseline — the `connection_scale` bench compares the arms in
-    /// the same run. Ignored by in-process callers and on non-Linux
-    /// targets (which always get the threaded front end).
-    pub event_loop: bool,
 }
 
 impl Default for ServeConfig {
@@ -179,7 +171,6 @@ impl Default for ServeConfig {
             drain_order: DrainOrder::EarliestDeadlineFirst,
             tenant_weights: Vec::new(),
             pressured_budget: 2,
-            event_loop: true,
         }
     }
 }
@@ -216,9 +207,8 @@ struct Inner<M: PolicyModel> {
     /// never across compute.
     shards: Mutex<HashMap<String, ShardHandle>>,
     shutdown: AtomicBool,
-    /// `Arc` so wire front ends (connection writer threads, the event
-    /// loop) can record wire-level events against the same counters the
-    /// serving core feeds.
+    /// `Arc` so the wire front end's event loop can record wire-level
+    /// events against the same counters the serving core feeds.
     telemetry: Arc<Telemetry>,
     /// Per-tenant DRR window arbiter; armed iff `cfg.shard_threads` is set
     /// (shards sharing one thread budget contend; independent shards
@@ -273,9 +263,10 @@ impl<M: PolicyModel + Send + Sync + 'static> ServeDaemon<M> {
         &self.inner.cfg
     }
 
-    /// The live telemetry counters — shared with wire front ends so they
+    /// The live telemetry counters — shared with the wire front end so it
     /// can record wire-level events (e.g. unmatched replies) alongside the
     /// serving core's own.
+    #[cfg(all(target_os = "linux", not(teal_loom)))]
     pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
         &self.inner.telemetry
     }

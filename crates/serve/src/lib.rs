@@ -13,12 +13,10 @@
 //! ```text
 //!   wire clients                     server front end        serving core
 //!   ────────────                     ────────────────        ────────────────────
-//!   TealClient ── REQUEST frames ──► TealServer (one of two, by
-//!     │  (pipelined, id-tagged,      ServeConfig::event_loop)
-//!     │   tenant-tagged since v3)
-//!     │ ── STATS frame ─► snapshot   ┌ epoll event loop (default) ──────┐
-//!     │                              │ one thread, N conns:             │
-//!     │                              │  epoll_wait ─► accept burst      │
+//!   TealClient ── REQUEST frames ──► TealServer
+//!     │  (pipelined, id-tagged,      ┌ epoll event loop ────────────────┐
+//!     │   tenant-tagged since v3)    │ one thread, N conns:             │
+//!     │ ── STATS frame ─► snapshot   │  epoll_wait ─► accept burst      │
 //!     │                              │   · per-conn FrameDecoder        │
 //!     │                              │     (resumes mid-frame)          │
 //!     │                              │   · per-conn WriteQueue          │
@@ -27,10 +25,6 @@
 //!     │                              │  completion ─► waker ─► eventfd  │
 //!     │                              │  doorbell ─► drain + flush       │
 //!     │                              │  slot map w/ generation tokens   │
-//!     │                              └──────────────┬───────────────────┘
-//!     │                              ┌ threaded (A/B baseline) ─────────┐
-//!     │                              │  accept ► reader+writer threads  │
-//!     │                              │  per conn · completions (scrape) │
 //!     │                              └──────────────┬───────────────────┘
 //!   in-process clients                              │ submit(SubmitRequest)
 //!   ──────────────────                              ▼
@@ -121,16 +115,16 @@
 //!   threads do.
 //! * **Wire front end** ([`wire`], [`TealServer`], [`TealClient`]) —
 //!   std-only TCP (no async runtime): a length-prefixed, versioned binary
-//!   codec; a server multiplexing every connection on **one epoll
-//!   event-loop thread** (incremental frame decode, pooled write queues,
-//!   eventfd completion doorbell — the thread-per-connection baseline
-//!   stays selectable via [`ServeConfig::event_loop`] for A/B runs and
-//!   non-Linux builds), draining tickets **out of order by request id**
-//!   off per-connection completion queues; and a blocking client with
-//!   pipelined submits returning the same [`Ticket`] handle in-process
-//!   callers use. Protocol version 4 (v4 adds the unmatched-reply counter
-//!   to STATS_OK; v3 added the optional tenant tag to REQUEST and the
-//!   budget/tenant telemetry; older peers are refused at HELLO):
+//!   codec with one decode path ([`wire::FrameDecoder`], shared by server
+//!   and client); a Linux server multiplexing every connection on **one
+//!   epoll event-loop thread** (incremental frame decode, pooled write
+//!   queues, eventfd completion doorbell), draining tickets **out of
+//!   order by request id** off per-connection completion queues; and a
+//!   blocking client with pipelined submits returning the same [`Ticket`]
+//!   handle in-process callers use. Protocol version 4 (v4 adds the
+//!   unmatched-reply counter to STATS_OK; v3 added the optional tenant
+//!   tag to REQUEST and the budget/tenant telemetry; older peers are
+//!   refused at HELLO):
 //!
 //!   | frame (kind)    | direction       | payload                            |
 //!   |-----------------|-----------------|------------------------------------|
@@ -223,11 +217,12 @@
 pub mod client;
 pub mod daemon;
 /// The epoll event-loop front end (Linux only; the loom model-check build
-/// also skips it — blocking syscall I/O is out of the checker's scope,
-/// same as `server`).
+/// also skips it — syscall I/O is out of the checker's scope).
 #[cfg(all(target_os = "linux", not(teal_loom)))]
 pub(crate) mod net;
 pub mod registry;
+/// The TCP front end over the event loop (same gate as `net`).
+#[cfg(all(target_os = "linux", not(teal_loom)))]
 pub mod server;
 pub mod telemetry;
 pub mod wire;
@@ -256,6 +251,7 @@ pub use client::TealClient;
 pub use daemon::{DrainOrder, ServeConfig, ServeDaemon};
 pub use registry::ModelRegistry;
 pub use request::{ServeError, ServeReply, SubmitRequest, Ticket, DEFAULT_TENANT};
+#[cfg(all(target_os = "linux", not(teal_loom)))]
 pub use server::TealServer;
 pub use telemetry::{
     AdmmStats, LatencyHistogram, LatencyStats, SlowExemplar, StageTimings, Telemetry,

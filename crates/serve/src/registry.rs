@@ -177,4 +177,33 @@ mod tests {
         assert_eq!(after, want, "registry must serve the donor weights");
         assert_ne!(before, after);
     }
+
+    #[test]
+    fn non_finite_checkpoint_is_refused_and_incumbent_keeps_serving() {
+        let reg: ModelRegistry<TealModel> = ModelRegistry::new();
+        reg.insert("b4", ctx(0));
+        let incumbent = reg.get("b4").unwrap();
+        let tm = TrafficMatrix::new(vec![15.0; incumbent.env().num_demands()]);
+        let (before, _) = incumbent.allocate(&tm);
+
+        // Same architecture, every weight NaN.
+        let mut poisoned = ctx(1).model().store().clone();
+        for i in 0..poisoned.len() {
+            let id = poisoned.id_at(i);
+            let (r, c) = poisoned.get(id).shape();
+            *poisoned.get_mut(id) = teal_nn::Tensor::full(r, c, f32::NAN);
+        }
+        let ckpt = teal_nn::checkpoint::to_string(&poisoned);
+        assert!(matches!(
+            reg.swap_checkpoint_str("b4", &ckpt),
+            Err(ServeError::Checkpoint(_))
+        ));
+        let still = reg.get("b4").unwrap();
+        assert!(StdArc::ptr_eq(&incumbent, &still), "incumbent was replaced");
+        let (after, _) = still.allocate(&tm);
+        assert_eq!(
+            after, before,
+            "incumbent must keep serving the same allocation"
+        );
+    }
 }

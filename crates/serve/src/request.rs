@@ -7,7 +7,7 @@
 //! a request behaves identically whether it was submitted from a thread in
 //! the same process or decoded off a socket. The response-slot plumbing at
 //! the bottom of the file (one-shot slot + optional completion queue) is
-//! what lets a socket writer drain replies *out of order* without polling:
+//! what lets the event loop drain replies *out of order* without polling:
 //! fulfilling a slot pushes its request id onto the connection's
 //! completion queue.
 
@@ -166,40 +166,25 @@ pub struct ServeReply {
 }
 
 /// Out-of-order completion queue: response slots created with
-/// [`ResponseSlot::with_notify`] push their tag here when fulfilled, so a
-/// wire writer can block on *any* reply becoming ready instead of polling
-/// tickets in submission order.
-///
-/// Two consumption disciplines share this type: the thread-per-connection
-/// writer **blocks** in [`Completions::pop_wait`], while the epoll event
-/// loop builds the queue with [`Completions::with_waker`] and **drains**
-/// via [`Completions::try_pop`] — each push then also fires the waker
-/// (outside the queue lock), which rings the loop's eventfd doorbell so a
-/// shard dispatcher never touches a socket.
+/// [`ResponseSlot::with_notify`] push their tag here when fulfilled, so
+/// the event loop can learn that *any* reply became ready instead of
+/// polling tickets in submission order. Each push also fires the queue's
+/// waker (outside the queue lock), which rings the loop's eventfd doorbell
+/// so a shard dispatcher never touches a socket; the loop drains the tags
+/// with [`Completions::try_pop`].
 pub struct Completions {
     ready: Mutex<VecDeque<u64>>,
-    cv: Condvar,
-    /// Fired after each push, outside the queue lock. `None` for the
-    /// blocking-writer discipline.
-    waker: Option<Box<dyn Fn() + Send + Sync>>,
+    /// Fired after each push, outside the queue lock.
+    waker: Box<dyn Fn() + Send + Sync>,
 }
 
 impl Completions {
-    pub fn new() -> Arc<Self> {
+    /// A queue whose pushes fire `waker` — the event loop's completion →
+    /// eventfd bridge.
+    pub fn new(waker: Box<dyn Fn() + Send + Sync>) -> Arc<Self> {
         Arc::new(Completions {
             ready: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            waker: None,
-        })
-    }
-
-    /// A queue whose pushes additionally fire `waker` — the event loop's
-    /// completion → eventfd bridge.
-    pub fn with_waker(waker: Box<dyn Fn() + Send + Sync>) -> Arc<Self> {
-        Arc::new(Completions {
-            ready: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            waker: Some(waker),
+            waker,
         })
     }
 
@@ -208,33 +193,10 @@ impl Completions {
     /// ride a slot (e.g. STATS scrapes).
     pub fn push(&self, tag: u64) {
         self.ready.lock().push_back(tag);
-        self.cv.notify_all();
-        if let Some(waker) = &self.waker {
-            waker();
-        }
+        (self.waker)();
     }
 
-    /// Wake all waiters so they can re-check their exit condition.
-    pub fn kick(&self) {
-        self.cv.notify_all();
-    }
-
-    /// Next ready tag; blocks until one arrives or `done()` says no more
-    /// ever will (returns `None` then).
-    pub fn pop_wait(&self, done: impl Fn() -> bool) -> Option<u64> {
-        let mut q = self.ready.lock();
-        loop {
-            if let Some(tag) = q.pop_front() {
-                return Some(tag);
-            }
-            if done() {
-                return None;
-            }
-            q = self.cv.wait(q);
-        }
-    }
-
-    /// Next ready tag without blocking — the event loop's drain primitive.
+    /// Next ready tag without blocking.
     pub fn try_pop(&self) -> Option<u64> {
         self.ready.lock().pop_front()
     }

@@ -494,7 +494,7 @@ pub struct Telemetry {
     /// default EDF drain, > 0 only under `DrainOrder::Fifo` churn).
     deadline_inversions: AtomicU64,
     /// Reply/scrape completions whose id matched no registered slot on the
-    /// announcing connection (wire front ends report these; a nonzero
+    /// announcing connection (the wire front end reports these; a nonzero
     /// value flags an id-bookkeeping bug rather than load).
     unmatched_replies: AtomicU64,
     /// Tenant id → served totals. Touched once per chunk (not per
@@ -583,7 +583,8 @@ impl Telemetry {
     }
 
     /// Count one reply frame (or completion tag) that matched no
-    /// registered slot — the wire front ends' "reply with no home" event.
+    /// registered slot — the wire front end's "reply with no home" event.
+    #[cfg(all(target_os = "linux", not(teal_loom)))]
     pub(crate) fn on_unmatched_reply(&self) {
         self.unmatched_replies.fetch_add(1, Ordering::Relaxed);
     }

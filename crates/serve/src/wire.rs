@@ -16,18 +16,17 @@
 //! [`ServeError`] variant) is property-tested in
 //! `crates/serve/tests/wire_roundtrip.rs`.
 //!
-//! Two decoding/encoding shapes share the layouts above:
-//!
-//! * the **blocking** pair ([`read_frame`]/[`write_frame`]), used by the
-//!   thread-per-connection front end and the client, and
-//! * the **incremental** pair ([`FrameDecoder`]/[`WriteQueue`]), used by
-//!   the epoll event loop: the decoder resumes across arbitrary partial
-//!   reads (a frame split anywhere — even mid-length-prefix — decodes
-//!   identically to the one-shot path; see
-//!   `crates/serve/tests/decoder_resume.rs`), and the write queue encodes
-//!   replies *appended* into one pooled per-connection buffer so a
-//!   steady-state flush path allocates nothing once warm
-//!   (`crates/serve/tests/write_path_alloc.rs`).
+//! Frames have one decode path, [`FrameDecoder`]: it resumes across
+//! arbitrary partial reads (a frame split anywhere — even
+//! mid-length-prefix — decodes identically; see
+//! `crates/serve/tests/decoder_resume.rs`). The event loop feeds it
+//! whatever a nonblocking read produced; the client drives the same
+//! decoder over a blocking socket with [`FrameDecoder::read_frame`].
+//! Frames are written either one at a time with [`write_frame`] (the
+//! client) or through the event loop's [`WriteQueue`], which encodes
+//! replies *appended* into one pooled per-connection buffer so a
+//! steady-state flush path allocates nothing once warm
+//! (`crates/serve/tests/write_path_alloc.rs`).
 //!
 //! Layouts (after the kind byte):
 //!
@@ -150,27 +149,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
-}
-
-/// Read one frame's payload into `buf` (cleared and reused). Returns
-/// `Ok(false)` on clean EOF at a frame boundary.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, WireError> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
-        Err(e) => return Err(WireError::Io(e)),
-    }
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return Err(WireError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
-        )));
-    }
-    buf.clear();
-    buf.resize(len as usize, 0);
-    r.read_exact(buf)?;
-    Ok(true)
 }
 
 // --------------------------------------------------------------- writing
@@ -815,13 +793,13 @@ pub fn decode_stats_reply(payload: &[u8]) -> Result<(u64, TelemetrySnapshot), Wi
     ))
 }
 
-// ---------------------------------------------- incremental (event loop)
+// ------------------------------------- frame decoder, event-loop writes
 
-/// Incremental frame decoder for nonblocking readers: feed whatever bytes
-/// the socket produced, then pull complete frame payloads as they
-/// materialize. A frame split at *any* byte boundary — including inside
-/// the 4-byte length prefix — decodes identically to [`read_frame`]'s
-/// one-shot path.
+/// Incremental frame decoder: feed whatever bytes the socket produced,
+/// then pull complete frame payloads as they materialize. A frame split
+/// at *any* byte boundary — including inside the 4-byte length prefix —
+/// decodes identically to the same frame delivered whole. Blocking
+/// readers use [`FrameDecoder::read_frame`], which does the feeding.
 ///
 /// The [`MAX_FRAME`] guard fires as soon as a hostile length prefix
 /// becomes visible, **before** any buffer growth driven by it: the decoder
@@ -907,6 +885,38 @@ impl FrameDecoder {
     /// EOF with `residue() > 0` means the peer died mid-frame).
     pub fn residue(&self) -> usize {
         self.pending.len() - self.pos
+    }
+
+    /// Blocking read of the next frame payload from `r`, feeding this
+    /// decoder until a frame completes. Returns `Ok(None)` on clean EOF at
+    /// a frame boundary and an error on EOF mid-frame. Bytes read past the
+    /// returned frame stay buffered for the next call, so one decoder must
+    /// serve a stream for its whole life. The returned slice is valid
+    /// until the next call on this decoder.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<&[u8]>, WireError> {
+        let mut chunk = [0u8; 16 << 10];
+        loop {
+            match self.peek_len() {
+                Some(len) if len > MAX_FRAME || self.residue() >= 4 + len as usize => {
+                    return self.next_frame();
+                }
+                _ => {}
+            }
+            let n = match r.read(&mut chunk) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(WireError::Io(e)),
+            };
+            if n == 0 {
+                return match self.residue() {
+                    0 => Ok(None),
+                    left => Err(WireError::Protocol(format!(
+                        "peer closed mid-frame with {left} bytes buffered"
+                    ))),
+                };
+            }
+            self.feed(&chunk[..n])?;
+        }
     }
 }
 

@@ -4,10 +4,9 @@
 //! length prefix must be rejected as soon as it is visible, *before* any
 //! buffering driven by the attacker-controlled length.
 //!
-//! This is the correctness spine of the epoll front end: the kernel hands
-//! the event loop arbitrary read fragments, and `FrameDecoder` is what
-//! turns them back into the exact frames a blocking `read_frame` loop
-//! would have seen.
+//! This is the correctness spine of the wire codec: the kernel hands the
+//! event loop and the client arbitrary read fragments, and `FrameDecoder`
+//! is what turns them back into the exact frames the peer wrote.
 
 use proptest::prelude::*;
 use teal_serve::wire::{self, FrameDecoder};

@@ -21,8 +21,16 @@ fn frame_roundtrip(payload: &[u8]) -> Vec<u8> {
     let mut stream = Vec::new();
     wire::write_frame(&mut stream, payload).expect("write frame");
     let mut cursor = std::io::Cursor::new(stream);
-    let mut out = Vec::new();
-    assert!(wire::read_frame(&mut cursor, &mut out).expect("read frame"));
+    let mut decoder = wire::FrameDecoder::new();
+    let out = decoder
+        .read_frame(&mut cursor)
+        .expect("read frame")
+        .expect("one frame")
+        .to_vec();
+    assert!(decoder
+        .read_frame(&mut cursor)
+        .expect("clean EOF")
+        .is_none());
     out
 }
 
@@ -325,6 +333,18 @@ fn truncated_and_oversized_frames_are_errors() {
     // A length prefix past MAX_FRAME is refused before allocation.
     let huge = (wire::MAX_FRAME + 1).to_le_bytes();
     let mut cursor = std::io::Cursor::new(huge.to_vec());
-    let mut out = Vec::new();
-    assert!(wire::read_frame(&mut cursor, &mut out).is_err());
+    let mut decoder = wire::FrameDecoder::new();
+    assert!(decoder.read_frame(&mut cursor).is_err());
+    // EOF mid-frame (inside the length prefix, then inside the body) is an
+    // error, not a clean end of stream.
+    let mut stream = Vec::new();
+    wire::write_frame(&mut stream, &buf).expect("write frame");
+    for cut in [2, stream.len() - 1] {
+        let mut cursor = std::io::Cursor::new(stream[..cut].to_vec());
+        let mut decoder = wire::FrameDecoder::new();
+        assert!(
+            decoder.read_frame(&mut cursor).is_err(),
+            "EOF at byte {cut} of a frame read as a clean end"
+        );
+    }
 }
