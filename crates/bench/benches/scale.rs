@@ -4,7 +4,8 @@
 //! scale:
 //!
 //! * `precompute_paths` — the once-per-topology KSP precompute (amortized
-//!   over the serving lifetime, benched at the smallest size);
+//!   over the serving lifetime, but paid again on every topology change),
+//!   at 256 nodes / 512 pairs and 1,024 nodes / 2,048 pairs;
 //! * `forward_only` — one batched FlowGNN forward window, exercising the
 //!   cache-blocked incidence SpMM;
 //! * `window` — the headline: one full serving window (forward + batched
@@ -43,13 +44,16 @@ fn bench_scale(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(300));
 
-    // Once-per-topology path precompute, at the smallest size so the bench
-    // stays fast; scratch-reusing Yen's makes this linear-ish in pairs.
-    {
-        let topo = large_wan(256, SEED);
-        let pairs = gravity_pairs(&topo, 512, SEED ^ 1);
+    // Once-per-topology path precompute (bounded Yen's KSP), at the
+    // smallest size and at the 1,024-node headline size with 2 pairs/node.
+    for &(n, pairs) in &[(256usize, 512usize), (1024, 2048)] {
+        let topo = large_wan(n, SEED);
+        let pairs = gravity_pairs(&topo, pairs, SEED ^ 1);
         group.bench_with_input(
-            BenchmarkId::new("precompute_paths", "LargeWAN-256x512pairs"),
+            BenchmarkId::new(
+                "precompute_paths",
+                format!("LargeWAN-{n}x{}pairs", pairs.len()),
+            ),
             &(),
             |b, _| b.iter(|| PathSet::compute(&topo, &pairs, 4)),
         );

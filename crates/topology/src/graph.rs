@@ -98,7 +98,10 @@ impl Topology {
         self.coords[n]
     }
 
-    /// Add a single directed edge. Panics on duplicates or self-loops.
+    /// Add a single directed edge. Panics on duplicates, self-loops, a
+    /// negative capacity, or a weight that is not finite and positive
+    /// (shortest-path tie-breaking relies on every hop strictly increasing
+    /// the path weight).
     pub fn add_directed_edge(
         &mut self,
         src: NodeId,
@@ -115,9 +118,10 @@ impl Topology {
             !self.edge_index.contains_key(&(src, dst)),
             "duplicate edge {src}->{dst}"
         );
+        assert!(capacity >= 0.0, "negative capacity");
         assert!(
-            capacity >= 0.0 && weight >= 0.0,
-            "negative capacity or weight"
+            weight.is_finite() && weight > 0.0,
+            "edge weight must be finite and positive, got {weight}"
         );
         let id = self.edges.len();
         self.edges.push(Edge {
@@ -305,6 +309,27 @@ mod tests {
     fn self_loop_rejected() {
         let mut t = Topology::new("x", 2);
         t.add_directed_edge(0, 0, 1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn zero_weight_rejected() {
+        let mut t = Topology::new("x", 2);
+        t.add_directed_edge(0, 1, 1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn infinite_weight_rejected() {
+        let mut t = Topology::new("x", 2);
+        t.add_link(0, 1, 1.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn nan_weight_rejected() {
+        let mut t = Topology::new("x", 2);
+        t.add_directed_edge(0, 1, 1.0, f64::NAN);
     }
 
     #[test]

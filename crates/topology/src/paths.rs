@@ -8,18 +8,32 @@
 //! so every demand has exactly `k` slots (split ratios on duplicates simply
 //! add on the same physical path).
 //!
-//! Two details matter at paper scale (754–1,739 nodes, §6):
+//! Three details matter at paper scale (754–1,739 nodes, §6):
 //!
-//! * Yen's inner loop runs one masked Dijkstra per spur node — thousands per
-//!   pair. [`KspScratch`] keeps the distance/predecessor arrays, the binary
-//!   heap, and epoch-stamped ban/mark arrays alive across those runs, so the
-//!   precompute is allocation-free per spur instead of building fresh
-//!   `HashSet`s and `Vec`s each time.
+//! * Every shortest-path query is one bounded best-first search. Yen's loop
+//!   runs a masked search per spur node (about a dozen per pair at `k = 4`),
+//!   and each is an A* search aimed at the destination: its bound `h(v)` is
+//!   the unmasked distance from `v` to the destination, computed once per
+//!   destination by a reverse Dijkstra over in-edges. Yen's bans only remove
+//!   edges and nodes, so `h` stays a consistent lower bound for every spur
+//!   search of that destination. [`dijkstra`] is the same search with
+//!   `h ≡ 0`. [`PathSet::compute`] visits pairs grouped by destination so
+//!   each worker computes each bound once into a single buffer.
+//! * The search returns exactly the path plain Dijkstra (ties popped by
+//!   node id) would: `prev[v]` is the tight predecessor
+//!   (`g(u) + w(u, v) == g(v)`) with the least `(g(u), u)`, and the search
+//!   keeps popping until the heap top exceeds `g(dst)·(1 + 1e-9)`, so every
+//!   tight predecessor has been expanded. Edge weights are finite and
+//!   positive ([`Topology::add_directed_edge`] checks), so `g` strictly
+//!   increases along a predecessor chain and the chain cannot cycle.
+//!   [`KspScratch`] keeps the search arrays, the heap, the bound and
+//!   epoch-stamped ban/mark arrays alive across searches, so the precompute
+//!   is allocation-free per spur.
 //! * The edge→path incidence is flattened at construction into a CSR-style
 //!   offsets+indices pair ([`PathSet::paths_on_edge`]), replacing the old
 //!   `Vec<Vec<usize>>` that every solver rebuilt per call.
 
-use crate::graph::{EdgeId, NodeId, Topology};
+use crate::graph::{Edge, EdgeId, NodeId, Topology};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -52,19 +66,26 @@ impl Path {
     }
 }
 
+/// Relative slack on the search's stopping rule, so rounding in `g + h`
+/// never stops it before a tight predecessor of the goal is expanded.
+const TIE_SLACK: f64 = 1e-9;
+
 #[derive(PartialEq)]
 struct HeapEntry {
-    dist: f64,
+    /// Priority: `g + h` in the forward search, `g` in the reverse one.
+    key: f64,
+    /// Distance from the search origin when pushed.
+    g: f64,
     node: NodeId,
 }
 
 impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance; tie-break on node id for determinism.
+        // Min-heap on key; tie-break on node id for determinism.
         other
-            .dist
-            .partial_cmp(&self.dist)
+            .key
+            .partial_cmp(&self.key)
             .unwrap_or(Ordering::Equal)
             .then_with(|| other.node.cmp(&self.node))
     }
@@ -75,19 +96,26 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Reusable scratch buffers for [`k_shortest_paths_with`] and the masked
-/// Dijkstra underneath it.
+/// Reusable scratch buffers for [`k_shortest_paths_with`] and the bounded
+/// search underneath it.
 ///
 /// Ban and mark sets are epoch-stamped arrays: membership is `stamp[i] ==
 /// epoch`, and "clearing" a set is one counter increment. Distance and
-/// predecessor arrays are reset via a touched-node list, so each Dijkstra run
-/// costs O(visited) to clean up rather than O(n). One scratch per worker
-/// thread makes the 1,000-node KSP precompute allocation-free in steady state.
+/// predecessor arrays are reset via a touched-node list, so each search
+/// costs O(visited) to clean up rather than O(n). `bound` holds the search's
+/// lower bound on each node's distance to the current destination, computed
+/// over the in-edge index `in_edges`/`in_off`. One scratch per worker thread
+/// makes the 1,000-node KSP precompute allocation-free in steady state.
 pub struct KspScratch {
     dist: Vec<f64>,
     prev: Vec<Option<(NodeId, EdgeId)>>,
     touched: Vec<NodeId>,
     heap: BinaryHeap<HeapEntry>,
+    bound: Vec<f64>,
+    /// Edge ids grouped by head node: the in-edges of `v` are
+    /// `in_edges[in_off[v]..in_off[v + 1]]`.
+    in_edges: Vec<EdgeId>,
+    in_off: Vec<usize>,
     edge_ban: Vec<u32>,
     node_ban: Vec<u32>,
     node_mark: Vec<u32>,
@@ -103,6 +131,9 @@ impl KspScratch {
             prev: vec![None; topo.num_nodes()],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
+            bound: vec![0.0; topo.num_nodes()],
+            in_edges: Vec::new(),
+            in_off: Vec::new(),
             edge_ban: vec![0; topo.num_edges()],
             node_ban: vec![0; topo.num_nodes()],
             node_mark: vec![0; topo.num_nodes()],
@@ -115,6 +146,7 @@ impl KspScratch {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.prev.resize(n, None);
+            self.bound.resize(n, 0.0);
             self.node_ban.resize(n, 0);
             self.node_mark.resize(n, 0);
         }
@@ -135,13 +167,79 @@ impl KspScratch {
         }
         self.epoch
     }
+
+    /// Index `topo`'s edges by head node for [`bound_to`](Self::bound_to).
+    fn index_in_edges(&mut self, topo: &Topology) {
+        self.fit(topo);
+        let KspScratch {
+            in_edges, in_off, ..
+        } = self;
+        // Counting sort: count per head, inclusive prefix sums (block ends),
+        // then fill backwards so each block ends ascending at its start.
+        in_off.clear();
+        in_off.resize(topo.num_nodes() + 1, 0);
+        for e in topo.edges() {
+            in_off[e.dst] += 1;
+        }
+        for v in 1..in_off.len() {
+            in_off[v] += in_off[v - 1];
+        }
+        in_edges.clear();
+        in_edges.resize(topo.num_edges(), 0);
+        for (eid, e) in topo.edges().iter().enumerate().rev() {
+            in_off[e.dst] -= 1;
+            in_edges[in_off[e.dst]] = eid;
+        }
+    }
+
+    /// Set `bound` to every node's unmasked distance to `dst`: one reverse
+    /// Dijkstra over the in-edge index, which must be `topo`'s
+    /// ([`index_in_edges`](Self::index_in_edges)). Nodes that cannot reach
+    /// `dst` get `+inf`.
+    fn bound_to(&mut self, topo: &Topology, dst: NodeId) {
+        let KspScratch {
+            bound,
+            heap,
+            in_edges,
+            in_off,
+            ..
+        } = self;
+        bound.fill(f64::INFINITY);
+        heap.clear();
+        bound[dst] = 0.0;
+        heap.push(HeapEntry {
+            key: 0.0,
+            g: 0.0,
+            node: dst,
+        });
+        while let Some(HeapEntry { g, node, .. }) = heap.pop() {
+            if g > bound[node] {
+                continue;
+            }
+            for &eid in &in_edges[in_off[node]..in_off[node + 1]] {
+                let Edge {
+                    src: from, weight, ..
+                } = *topo.edge(eid);
+                let nd = g + weight;
+                if nd < bound[from] {
+                    bound[from] = nd;
+                    heap.push(HeapEntry {
+                        key: nd,
+                        g: nd,
+                        node: from,
+                    });
+                }
+            }
+        }
+    }
 }
 
-/// Masked Dijkstra over scratch buffers. Edges/nodes whose stamp equals
-/// `ban_epoch` are masked out; passing a fresh epoch with nothing stamped
-/// runs unmasked. Semantics are identical to the `HashSet`-based
-/// [`dijkstra_masked`]: same relaxations, same heap tie-breaks.
-fn dijkstra_scratch(
+/// Bounded best-first search from `src` to `dst` over scratch buffers, with
+/// `scratch.bound` as the lower bound on each node's distance to `dst`.
+/// Edges/nodes whose stamp equals `ban_epoch` are masked out; passing a
+/// fresh epoch with nothing stamped runs unmasked. Returns the path plain
+/// Dijkstra would (see the module docs for the tie rule).
+fn bounded_search(
     topo: &Topology,
     src: NodeId,
     dst: NodeId,
@@ -153,6 +251,7 @@ fn dijkstra_scratch(
         prev,
         touched,
         heap,
+        bound,
         edge_ban,
         node_ban,
         ..
@@ -164,25 +263,36 @@ fn dijkstra_scratch(
     }
     touched.clear();
     heap.clear();
+    if !bound[src].is_finite() {
+        return None;
+    }
 
     dist[src] = 0.0;
     touched.push(src);
     heap.push(HeapEntry {
-        dist: 0.0,
+        key: bound[src],
+        g: 0.0,
         node: src,
     });
-    while let Some(HeapEntry { dist: d, node }) = heap.pop() {
-        if node == dst {
+    while let Some(HeapEntry { key, g, node }) = heap.pop() {
+        // `dist[dst]` is +inf until the goal is reached, so this only stops
+        // once every node that could still be a tight predecessor is done.
+        if key > dist[dst] * (1.0 + TIE_SLACK) {
             break;
         }
-        if d > dist[node] {
+        if g > dist[node] {
             continue;
         }
         for &(next, eid) in topo.neighbors(node) {
             if edge_ban[eid] == ban_epoch || node_ban[next] == ban_epoch {
                 continue;
             }
-            let nd = d + topo.edge(eid).weight;
+            let h = bound[next];
+            if !h.is_finite() {
+                // `next` cannot reach `dst` at all.
+                continue;
+            }
+            let nd = g + topo.edge(eid).weight;
             if nd < dist[next] {
                 if dist[next].is_infinite() {
                     touched.push(next);
@@ -190,9 +300,18 @@ fn dijkstra_scratch(
                 dist[next] = nd;
                 prev[next] = Some((node, eid));
                 heap.push(HeapEntry {
-                    dist: nd,
+                    key: nd + h,
+                    g: nd,
                     node: next,
                 });
+            } else if nd == dist[next] {
+                // Tie: keep the predecessor with the least (g, node id), the
+                // one Dijkstra would have popped first.
+                if let Some((p, _)) = prev[next] {
+                    if g < dist[p] || (g == dist[p] && node < p) {
+                        prev[next] = Some((node, eid));
+                    }
+                }
             }
         }
     }
@@ -218,7 +337,7 @@ fn dijkstra_scratch(
 }
 
 /// Dijkstra shortest path from `src` to `dst` by edge weight, optionally
-/// masking out edges and nodes (used by Yen's spur computation).
+/// masking out edges and nodes: the bounded search with `h ≡ 0`.
 pub fn dijkstra_masked(
     topo: &Topology,
     src: NodeId,
@@ -234,14 +353,13 @@ pub fn dijkstra_masked(
     for &v in banned_nodes {
         scratch.node_ban[v] = ban;
     }
-    dijkstra_scratch(topo, src, dst, &mut scratch, ban)
+    // A fresh scratch's bound is zero everywhere: plain Dijkstra.
+    bounded_search(topo, src, dst, &mut scratch, ban)
 }
 
 /// Plain shortest path.
 pub fn dijkstra(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
-    let mut scratch = KspScratch::new(topo);
-    let ban = scratch.next_epoch();
-    dijkstra_scratch(topo, src, dst, &mut scratch, ban)
+    dijkstra_masked(topo, src, dst, &HashSet::new(), &HashSet::new())
 }
 
 /// Hop counts from `src` to every node (BFS, unit weights).
@@ -278,9 +396,16 @@ pub fn k_shortest_paths_with(
     k: usize,
     scratch: &mut KspScratch,
 ) -> Vec<Path> {
-    scratch.fit(topo);
+    scratch.index_in_edges(topo);
+    scratch.bound_to(topo, dst);
+    yen(topo, src, dst, k, scratch)
+}
+
+/// Yen's loop over bounded spur searches. `scratch.bound` must hold the
+/// unmasked distances to `dst` in `topo` ([`KspScratch::bound_to`]).
+fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScratch) -> Vec<Path> {
     let unmasked = scratch.next_epoch();
-    let Some(first) = dijkstra_scratch(topo, src, dst, scratch, unmasked) else {
+    let Some(first) = bounded_search(topo, src, dst, scratch, unmasked) else {
         return Vec::new();
     };
     let mut accepted: Vec<Path> = vec![first];
@@ -309,7 +434,7 @@ pub fn k_shortest_paths_with(
                 scratch.node_ban[v] = ban;
             }
 
-            if let Some(spur) = dijkstra_scratch(topo, spur_node, dst, scratch, ban) {
+            if let Some(spur) = bounded_search(topo, spur_node, dst, scratch, ban) {
                 // Simplicity check without materializing the joined path: the
                 // root and spur are each simple, so only cross-duplicates
                 // between them can occur.
@@ -382,7 +507,11 @@ impl PathSet {
     /// Compute `k` shortest paths per pair, in parallel across pairs.
     pub fn compute(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize) -> PathSet {
         assert!(k >= 1);
-        let chunk_results = parallel_paths(topo, pairs, k);
+        let threads = std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+            .min(8);
+        let chunk_results = parallel_paths(topo, pairs, k, threads);
         let mut paths = Vec::with_capacity(pairs.len() * k);
         for (pair, mut found) in pairs.iter().zip(chunk_results) {
             assert!(
@@ -494,39 +623,44 @@ impl PathSet {
 
 /// Run Yen's per pair on a crossbeam thread pool, preserving input order.
 /// Each worker thread owns one [`KspScratch`].
-fn parallel_paths(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize) -> Vec<Vec<Path>> {
+fn parallel_paths(
+    topo: &Topology,
+    pairs: &[(NodeId, NodeId)],
+    k: usize,
+    threads: usize,
+) -> Vec<Vec<Path>> {
     let n = pairs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .min(8);
-    if threads <= 1 || n < 32 {
-        let mut scratch = KspScratch::new(topo);
-        return pairs
-            .iter()
-            .map(|&(s, t)| k_shortest_paths_with(topo, s, t, k, &mut scratch))
-            .collect();
-    }
     let mut out: Vec<Vec<Path>> = vec![Vec::new(); n];
+    if threads <= 1 || n < 32 {
+        paths_for_chunk(topo, pairs, k, &mut out);
+        return out;
+    }
     let chunk = n.div_ceil(threads);
     crossbeam::scope(|scope| {
-        for (ci, (pair_chunk, out_chunk)) in
-            pairs.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            let _ = ci;
-            scope.spawn(move |_| {
-                let mut scratch = KspScratch::new(topo);
-                for (p, o) in pair_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *o = k_shortest_paths_with(topo, p.0, p.1, k, &mut scratch);
-                }
-            });
+        for (pair_chunk, out_chunk) in pairs.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            scope.spawn(move |_| paths_for_chunk(topo, pair_chunk, k, out_chunk));
         }
     })
     .expect("path computation worker panicked");
     out
+}
+
+/// Yen's for each pair of one chunk into `out`, visiting the pairs grouped
+/// by destination so each destination's bound is computed once.
+fn paths_for_chunk(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize, out: &mut [Vec<Path>]) {
+    let mut scratch = KspScratch::new(topo);
+    scratch.index_in_edges(topo);
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_by_key(|&i| pairs[i].1);
+    let mut bound_for = None;
+    for i in order {
+        let (src, dst) = pairs[i];
+        if bound_for != Some(dst) {
+            scratch.bound_to(topo, dst);
+            bound_for = Some(dst);
+        }
+        out[i] = yen(topo, src, dst, k, &mut scratch);
+    }
 }
 
 #[cfg(test)]
@@ -674,14 +808,25 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let t = diamond();
-        let pairs = t.all_pairs();
-        // Force both code paths by calling compute (parallel for >=32 pairs is
-        // not triggered here, so just check determinism of repeated calls).
-        let a = PathSet::compute(&t, &pairs, 4);
-        let b = PathSet::compute(&t, &pairs, 4);
-        for (pa, pb) in a.paths().iter().zip(b.paths()) {
-            assert_eq!(pa.edges, pb.edges);
+        // Enough pairs (>= 32) to take the threaded, destination-grouped
+        // branch, checked against one scratch walking the pairs in input
+        // order with a fresh bound per pair.
+        let t = crate::gen::large_wan(64, 3);
+        let pairs = crate::gen::gravity_pairs(&t, 96, 5);
+        assert!(pairs.len() >= 32);
+        let mut scratch = KspScratch::new(&t);
+        let serial: Vec<Vec<Path>> = pairs
+            .iter()
+            .map(|&(s, d)| k_shortest_paths_with(&t, s, d, 4, &mut scratch))
+            .collect();
+        for threads in [1, 3, 4] {
+            assert_eq!(parallel_paths(&t, &pairs, 4, threads), serial);
+        }
+        let ps = PathSet::compute(&t, &pairs, 4);
+        for (d, found) in serial.iter().enumerate() {
+            for (j, p) in ps.paths_for(d).iter().enumerate() {
+                assert_eq!(*p, found[j % found.len()]);
+            }
         }
     }
 }
