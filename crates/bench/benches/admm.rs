@@ -1,13 +1,15 @@
-//! Criterion bench: ADMM iteration cost — fine-tuning (2/5 iters, §3.4) vs
-//! solve-to-convergence (the LP-all substitute), the iteration-count
-//! ablation DESIGN.md calls out, and the serving-window comparison: one
-//! batched sweep ([`teal_lp::AdmmBatchSolver`]) fine-tuning a whole window
-//! against the old per-matrix solver loop.
+//! Criterion bench: ADMM iteration cost of [`teal_lp::AdmmBatchSolver`] —
+//! one matrix at 2/5 iterations (fine-tuning, §3.4) up to 100 (towards the
+//! solve-to-convergence LP-all substitute), the iteration-count ablation
+//! DESIGN.md calls out, and the serving-window cost of fine-tuning a whole
+//! window in one batched sweep.
+//!
+//! The per-matrix-loop baseline arm (`admm_fine_tune_window/looped/*`) was
+//! retired with the per-matrix solver; its last records stay in
+//! `BENCH_admm.json` as history.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use teal_lp::{
-    AdmmConfig, AdmmSkeleton, AdmmSolver, Allocation, BatchArena, Objective, TeInstance,
-};
+use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
 use teal_topology::{generate, PathSet, TopoKind};
 use teal_traffic::{TrafficConfig, TrafficMatrix, TrafficModel};
 
@@ -24,9 +26,10 @@ fn instance(cap: usize) -> (teal_topology::Topology, PathSet, TrafficMatrix) {
 
 fn bench_admm(c: &mut Criterion) {
     let (topo, paths, tm) = instance(1200);
-    let inst = TeInstance::new(&topo, &paths, &tm);
-    let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
-    let init = Allocation::shortest_path(tm.len(), 4);
+    // A batch of one: the one-shot form every single-matrix caller uses.
+    let solver = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow)
+        .batch_solver(std::slice::from_ref(&tm));
+    let init = [Allocation::shortest_path(tm.len(), 4)];
     let mut group = c.benchmark_group("admm");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
@@ -39,19 +42,16 @@ fn bench_admm(c: &mut Criterion) {
                 tol: 0.0,
                 serial: false,
             };
-            b.iter(|| solver.run(&init, cfg))
+            b.iter(|| solver.run_batch(&init, cfg))
         });
     }
     group.finish();
 }
 
-/// Serving-window fine-tuning: the old path minted one serial per-matrix
-/// solver per window entry (each run re-walking the incidence index); the
-/// batched sweep repairs the whole window in one pass per iteration. Both
-/// sides run 5 iterations (the ≥100-node fine-tune count) from the same
-/// warm starts. On the 1-core CI container the win is the index-locality
-/// one (no per-matrix re-walk); on multicore the demand/edge × batch tiles
-/// also spread over the pool workers.
+/// Serving-window fine-tuning: the batched sweep repairs the whole window
+/// in one pass over the incidence index per iteration, 5 iterations (the
+/// ≥100-node fine-tune count), in the serving steady state (solver
+/// reminted and arena reused across windows).
 fn bench_fine_tune_window(c: &mut Criterion) {
     let topo = generate(TopoKind::Swan, 0.5, 42);
     let mut pairs = topo.all_pairs();
@@ -66,12 +66,6 @@ fn bench_fine_tune_window(c: &mut Criterion) {
         tol: 0.0,
         serial: false,
     };
-    // The per-matrix loop mirrors the old allocate_batch: serial sweeps per
-    // matrix, outer loop over the window.
-    let looped_cfg = AdmmConfig {
-        serial: true,
-        ..cfg
-    };
     let mut group = c.benchmark_group("admm_fine_tune_window");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
@@ -82,17 +76,6 @@ fn bench_fine_tune_window(c: &mut Criterion) {
             .iter()
             .map(|tm| Allocation::shortest_path(tm.len(), 4))
             .collect();
-        group.bench_with_input(BenchmarkId::new("looped", window), &window, |b, _| {
-            b.iter(|| {
-                // Exactly the old allocate_batch fine-tuning stage: one
-                // serial-sweep solver per matrix, outer parallelism across
-                // matrices via par_map (inert on one core, where matrices
-                // solve back-to-back on the calling thread).
-                teal_nn::par::par_map(tms.len(), 1, |i| {
-                    Some(skel.solver(&tms[i]).run(&inits[i], looped_cfg).0)
-                })
-            })
-        });
         group.bench_with_input(BenchmarkId::new("batched", window), &window, |b, _| {
             // The serving steady state: solver reminted and arena reused
             // across windows, so iterations past the first allocate nothing

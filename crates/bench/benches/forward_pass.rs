@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use teal_core::{EngineConfig, Env, PolicyModel, TealConfig, TealEngine, TealModel};
+use teal_core::{EngineConfig, Env, PolicyModel, ServingContext, TealConfig, TealModel};
 use teal_topology::{generate, PathSet, TopoKind};
 use teal_traffic::{TrafficConfig, TrafficModel};
 
@@ -38,7 +38,7 @@ fn bench_forward(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("model_only", label), &(), |b, _| {
             b.iter(|| model.allocate_deterministic(&input))
         });
-        let engine = TealEngine::new(
+        let engine = ServingContext::new(
             model.clone(),
             EngineConfig::paper_default(env.topo().num_nodes()),
         );

@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
-use teal_core::{EngineConfig, Env, TealConfig, TealEngine, TealModel};
+use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
 use teal_topology::{gravity_pairs, large_wan, PathSet};
 use teal_traffic::{TrafficConfig, TrafficModel};
 
@@ -63,7 +63,7 @@ fn bench_scale(c: &mut Criterion) {
         let (env, tms) = setup(n);
         let label = format!("LargeWAN-{n}x{WINDOW}");
 
-        let model_only = TealEngine::new(
+        let model_only = ServingContext::new(
             TealModel::new(Arc::clone(&env), TealConfig::default()),
             EngineConfig::without_admm(teal_lp::Objective::TotalFlow),
         );
@@ -71,7 +71,7 @@ fn bench_scale(c: &mut Criterion) {
             b.iter(|| model_only.allocate_batch(&tms).0)
         });
 
-        let engine = TealEngine::new(
+        let engine = ServingContext::new(
             TealModel::new(Arc::clone(&env), TealConfig::default()),
             EngineConfig::paper_default(env.topo().num_nodes()),
         );

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use teal_core::{EngineConfig, Env, TealConfig, TealEngine, TealModel};
+use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
 use teal_lp::Objective;
 use teal_sim::{
     FleischerScheme, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme, Scheme, TealScheme,
@@ -22,7 +22,7 @@ fn bench_schemes(c: &mut Criterion) {
     let env = Arc::new(Env::new(topo, paths));
 
     let teal_model = TealModel::new(Arc::clone(&env), TealConfig::default());
-    let engine = TealEngine::new(
+    let engine = ServingContext::new(
         teal_model,
         EngineConfig::paper_default(env.topo().num_nodes()),
     );

@@ -1,15 +1,15 @@
-//! Criterion bench: multi-matrix allocation throughput on B4 — the batched
-//! serving path (`ServingContext::allocate_batch`: one set of matrix
-//! products + parallel ADMM) versus the sequential per-matrix loop over
-//! `TealEngine::allocate`. The acceptance bar for the batched-inference PR:
-//! `batched` must beat `sequential_loop` on the same matrices.
+//! Criterion bench: multi-matrix allocation throughput on B4 — one window
+//! through the batched serving path (`ServingContext::allocate_batch`: one
+//! set of matrix products + one batched ADMM sweep) versus a loop of
+//! windows of one (`ServingContext::allocate`). `batched` must beat
+//! `sequential_loop` on the same matrices.
 //!
 //! Run with `CRITERION_JSON_PATH=BENCH_throughput.json` to persist the
 //! results the CI workflow publishes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use teal_core::{EngineConfig, Env, TealConfig, TealEngine, TealModel};
+use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
 use teal_topology::b4;
 use teal_traffic::{TrafficConfig, TrafficModel};
 
@@ -33,7 +33,7 @@ fn bench_throughput(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
 
     // Full pipeline: forward pass + warm-started ADMM fine-tuning.
-    let engine = TealEngine::new(
+    let engine = ServingContext::new(
         TealModel::new(Arc::clone(&env), TealConfig::default()),
         EngineConfig::paper_default(env.topo().num_nodes()),
     );
@@ -51,7 +51,7 @@ fn bench_throughput(c: &mut Criterion) {
     });
 
     // Model-only (no ADMM): isolates the batched-matmul effect.
-    let model_only = TealEngine::new(
+    let model_only = ServingContext::new(
         TealModel::new(Arc::clone(&env), TealConfig::default()),
         EngineConfig::without_admm(teal_lp::Objective::TotalFlow),
     );

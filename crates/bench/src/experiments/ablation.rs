@@ -8,7 +8,7 @@ use std::sync::Arc;
 use teal_core::ablation::{GlobalPolicyModel, NaiveDnnModel, NaiveGnnModel};
 use teal_core::{
     train_coma, train_direct, validate, ComaConfig, DirectConfig, EngineConfig, Env, PolicyModel,
-    TealConfig, TealEngine, TealModel,
+    ServingContext, TealConfig, TealModel,
 };
 use teal_lp::{evaluate, solve_lp, LpConfig, Objective};
 use teal_topology::TopoKind;
@@ -35,11 +35,11 @@ fn score(bed: &Testbed, model: &dyn PolicyModel, with_admm: bool) -> f64 {
     let admm_cfg = teal_lp::AdmmConfig::fine_tune(bed.env.topo().num_nodes());
     let mut acc = 0.0;
     for chunk in bed.test.chunks(ABLATION_BATCH) {
-        let allocs = model.allocate_batch(&bed.env.batch_input(chunk, None));
-        for (tm, mut alloc) in chunk.iter().zip(allocs) {
-            if let Some(skel) = &skeleton {
-                alloc = skel.solver(tm).run(&alloc, admm_cfg).0;
-            }
+        let mut allocs = model.allocate_batch(&bed.env.batch_input(chunk, None));
+        if let Some(skel) = &skeleton {
+            allocs = skel.batch_solver(chunk).run_batch(&allocs, admm_cfg).0;
+        }
+        for (tm, alloc) in chunk.iter().zip(allocs) {
             let inst = bed.env.instance(tm);
             acc +=
                 (100.0 * evaluate(&inst, &alloc).realized_flow / tm.total().max(1e-12)).min(100.0);
@@ -210,7 +210,7 @@ pub fn fig15(h: &mut Harness) {
 pub fn fig16(h: &mut Harness) {
     use teal_core::tsne::{busy_path_labels, separation_score, tsne, TsneConfig};
     let kind = TopoKind::Swan;
-    let engine: TealEngine<TealModel> = h.teal_engine(kind);
+    let engine: ServingContext<TealModel> = h.teal_engine(kind);
     let fast = h.fast();
     let bed = h.bed(kind);
     let env = Arc::clone(&bed.env);

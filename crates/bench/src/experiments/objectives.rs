@@ -12,7 +12,7 @@ use crate::table::{emit, emit_csv, Table};
 use crate::testbed::Testbed;
 use std::sync::Arc;
 use teal_core::{
-    train_coma, ComaConfig, EngineConfig, RewardKind, TealConfig, TealEngine, TealModel,
+    train_coma, ComaConfig, EngineConfig, RewardKind, ServingContext, TealConfig, TealModel,
 };
 use teal_lp::{evaluate_with_gamma, Objective, TeInstance};
 use teal_sim::{metrics, LpAllScheme, LpTopScheme, Scheme, TealScheme};
@@ -27,7 +27,7 @@ fn train_for(
     bed: &Testbed,
     reward: RewardKind,
     objective: Objective,
-) -> TealEngine<TealModel> {
+) -> ServingContext<TealModel> {
     let mut model = TealModel::new(Arc::clone(&bed.env), TealConfig::default());
     let nd = bed.env.num_demands().max(1);
     let cfg = ComaConfig {
@@ -38,7 +38,7 @@ fn train_for(
         ..ComaConfig::default()
     };
     let _ = train_coma(&mut model, &bed.train, &bed.val, &cfg);
-    TealEngine::new(model, EngineConfig::without_admm(objective))
+    ServingContext::new(model, EngineConfig::without_admm(objective))
 }
 
 /// Figure 11: minimize max link utilization on Kdl & ASN.

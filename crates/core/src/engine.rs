@@ -1,33 +1,32 @@
 //! The deployed Teal engine (§3.1, Figure 3): one neural forward pass
 //! followed by 2–5 warm-started ADMM iterations.
 //!
-//! The serving path is split in two layers:
+//! [`ServingContext`] owns everything fixed per topology — the trained
+//! model, the engine configuration, and a prebuilt [`AdmmSkeleton`]
+//! (incidence index + normalized capacities). Nothing is rebuilt per
+//! traffic matrix. All methods take `&self`, so one context wrapped in an
+//! `Arc` safely serves concurrent calls from many threads.
 //!
-//! * [`ServingContext`] owns everything fixed per topology — the trained
-//!   model, the engine configuration, and a prebuilt [`AdmmSkeleton`]
-//!   (incidence index + normalized capacities). Nothing is rebuilt per
-//!   traffic matrix: `allocate` mints an O(paths) per-matrix solver from the
-//!   shared skeleton. All methods take `&self`, so one context wrapped in an
-//!   `Arc` safely serves concurrent `allocate` calls from many threads.
-//! * [`TealEngine`] is a thin stateless facade over an
-//!   `Arc<ServingContext>` preserving the original single-object API.
-//!
-//! `allocate` measures the wall-clock time of the full pipeline — the number
-//! reported as Teal's computation time in the paper's figures. Because the
-//! forward pass is a fixed sequence of matrix products and ADMM runs a fixed
-//! iteration count, the runtime is independent of the traffic values (the
-//! stability highlighted in Figure 7a). [`ServingContext::allocate_batch`]
-//! pushes a whole batch of matrices through *one* set of matrix products and
-//! one batched ADMM sweep ([`teal_lp::AdmmBatchSolver`]): every fine-tuning
+//! Every entry point runs one pipeline: the forward pass in cache-blocked
+//! sub-batches (one set of matrix products per sub-batch), then one batched
+//! ADMM sweep ([`teal_lp::AdmmBatchSolver`]) whose every fine-tuning
 //! iteration repairs the whole window in a single pass over the shared
 //! incidence index, parallelized over demand/edge × batch tiles on the
-//! `teal_nn::pool` workers — no serial per-matrix solver loop remains on
-//! the serving hot path. [`ServingContext::try_allocate_batch`] is the
-//! fallible variant: malformed requests surface as [`AllocError`] values
-//! (which the `teal-serve` dispatcher maps to per-request `BadRequest`
-//! replies) instead of panics.
+//! `teal_nn::pool` workers. [`ServingContext::allocate`] and
+//! [`ServingContext::allocate_on`] are windows of one; no ADMM quantity
+//! couples two matrices, so a lane of a wider window gets the same
+//! allocation. [`ServingContext::try_allocate_batch`] is the fallible
+//! variant: malformed requests surface as [`AllocError`] values (which the
+//! `teal-serve` dispatcher maps to per-request `BadRequest` replies)
+//! instead of panics.
 //!
-//! The ADMM stage of every batched call runs in a reusable [`BatchScratch`]
+//! Each entry point returns the wall-clock time of the full pipeline — the
+//! number reported as Teal's computation time in the paper's figures.
+//! Because the forward pass is a fixed sequence of matrix products and ADMM
+//! runs a fixed iteration count, the runtime is independent of the traffic
+//! values (the stability highlighted in Figure 7a).
+//!
+//! The ADMM stage of every call runs in a reusable [`BatchScratch`]
 //! (solver + arena + report buffers): dispatch lanes that retain one —
 //! [`ServingContext::try_allocate_batch_with`], as the `teal-serve` shards
 //! do — reuse every byte of ADMM solver state across windows from their
@@ -354,41 +353,18 @@ impl<M: PolicyModel> ServingContext<M> {
         self.with_checkpoint_str(&data)
     }
 
-    /// Allocate a traffic matrix on the trained topology. Returns the
-    /// allocation and the measured computation time.
+    /// Allocate a traffic matrix on the trained topology: a window of one
+    /// through [`ServingContext::allocate_batch`]. Returns the allocation and
+    /// the measured computation time.
     pub fn allocate(&self, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let start = Instant::now();
-        let env = self.model.env();
-        let input = env.model_input(tm, None);
-        let mut alloc = self.model.allocate_deterministic(&input);
-        if let (Some(admm_cfg), Some(skel)) = (self.cfg.admm, &self.skeleton) {
-            let (tuned, _) = skel.solver(tm).run(&alloc, admm_cfg);
-            alloc = tuned;
-        }
-        alloc.project_demand_constraints();
-        (alloc, start.elapsed())
+        only(self.allocate_batch(std::slice::from_ref(tm)))
     }
 
     /// Allocate against a topology with altered capacities (e.g. failed
-    /// links zeroed) *without retraining* — the §5.3 scenario. Paths stay
-    /// the ones precomputed on the original topology; only the capacity
-    /// vector of the ADMM skeleton is rebuilt, and candidate paths crossing
-    /// a zero-capacity link are masked out of the final allocation (flow on
-    /// a dead link can never be delivered — the §5.3 recovery invariant).
+    /// links zeroed) *without retraining* — the §5.3 scenario — as a window
+    /// of one through [`ServingContext::allocate_batch_on`].
     pub fn allocate_on(&self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let start = Instant::now();
-        let env = self.model.env();
-        let input = env.model_input(tm, Some(topo));
-        let mut alloc = self.model.allocate_deterministic(&input);
-        if let (Some(admm_cfg), Some(skel)) = (self.cfg.admm, &self.skeleton) {
-            let (tuned, _) = skel.with_topology(topo).solver(tm).run(&alloc, admm_cfg);
-            alloc = tuned;
-        }
-        alloc.project_demand_constraints();
-        for &p in &dead_path_ids(env, topo) {
-            alloc.splits_mut()[p as usize] = 0.0;
-        }
-        (alloc, start.elapsed())
+        only(self.allocate_batch_on(topo, std::slice::from_ref(tm)))
     }
 
     /// Allocate a whole batch of traffic matrices: batched forward passes
@@ -403,13 +379,18 @@ impl<M: PolicyModel> ServingContext<M> {
             .unwrap_or_else(|e| panic!("allocate_batch: {e}"))
     }
 
-    /// Batched allocation against a failure-modified topology.
+    /// Batched allocation against a topology with altered capacities (e.g.
+    /// failed links zeroed), without retraining. Paths stay the ones
+    /// precomputed on the original topology; only the capacity vector of
+    /// the ADMM skeleton is rebuilt, and candidate paths crossing a
+    /// zero-capacity link are masked out of the final allocations (flow on
+    /// a dead link can never be delivered — the §5.3 recovery invariant).
     pub fn allocate_batch_on(
         &self,
         topo: &Topology,
         tms: &[TrafficMatrix],
     ) -> (Vec<Allocation>, Duration) {
-        self.try_allocate_batch_on(topo, tms)
+        self.allocate_batch_inner(tms, Some(topo))
             .unwrap_or_else(|e| panic!("allocate_batch_on: {e}"))
     }
 
@@ -421,15 +402,6 @@ impl<M: PolicyModel> ServingContext<M> {
         tms: &[TrafficMatrix],
     ) -> Result<(Vec<Allocation>, Duration), AllocError> {
         self.allocate_batch_inner(tms, None)
-    }
-
-    /// Fallible batched allocation on a failure-modified topology.
-    pub fn try_allocate_batch_on(
-        &self,
-        topo: &Topology,
-        tms: &[TrafficMatrix],
-    ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.allocate_batch_inner(tms, Some(topo))
     }
 
     /// [`ServingContext::try_allocate_batch`] with a caller-owned
@@ -447,7 +419,8 @@ impl<M: PolicyModel> ServingContext<M> {
         self.allocate_batch_inner_with(tms, None, scratch)
     }
 
-    /// [`ServingContext::try_allocate_batch_on`] with a caller-owned
+    /// Fallible batched allocation on a failure-modified topology with a
+    /// caller-owned
     /// [`BatchScratch`]: the §5.3 failure-recovery path (capacities of
     /// failed links zeroed, no retraining) served out of a retained arena.
     /// A dispatch lane that keeps a scratch for its failure windows reuses
@@ -608,94 +581,12 @@ fn dead_path_ids(env: &Env, topo: &Topology) -> Vec<u32> {
         .collect()
 }
 
-/// A trained model plus the fine-tuning stage, ready to serve allocations:
-/// a thin facade over an [`Arc`]-shared [`ServingContext`].
-pub struct TealEngine<M: PolicyModel> {
-    ctx: Arc<ServingContext<M>>,
-}
-
-impl<M: PolicyModel> Clone for TealEngine<M> {
-    fn clone(&self) -> Self {
-        TealEngine {
-            ctx: Arc::clone(&self.ctx),
-        }
-    }
-}
-
-impl<M: PolicyModel> TealEngine<M> {
-    /// Wrap a (trained) model.
-    pub fn new(model: M, cfg: EngineConfig) -> Self {
-        TealEngine {
-            ctx: Arc::new(ServingContext::new(model, cfg)),
-        }
-    }
-
-    /// The shared serving context (clone the `Arc` to serve from threads).
-    pub fn context(&self) -> &Arc<ServingContext<M>> {
-        &self.ctx
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &M {
-        self.ctx.model()
-    }
-
-    /// Mutable access (e.g. to continue training). Panics if the context is
-    /// currently shared with other threads — stop serving before mutating.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut Arc::get_mut(&mut self.ctx)
-            .expect("ServingContext is shared; cannot mutate the model while serving")
-            .model
-    }
-
-    /// The environment.
-    pub fn env(&self) -> &Arc<Env> {
-        self.ctx.env()
-    }
-
-    /// Allocate a traffic matrix on the trained topology. Returns the
-    /// allocation and the measured computation time.
-    pub fn allocate(&self, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        self.ctx.allocate(tm)
-    }
-
-    /// Allocate against a topology with altered capacities (see
-    /// [`ServingContext::allocate_on`]).
-    pub fn allocate_on(&self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        self.ctx.allocate_on(topo, tm)
-    }
-
-    /// Batched allocation (see [`ServingContext::allocate_batch`]).
-    pub fn allocate_batch(&self, tms: &[TrafficMatrix]) -> (Vec<Allocation>, Duration) {
-        self.ctx.allocate_batch(tms)
-    }
-
-    /// Batched allocation on a failure-modified topology.
-    pub fn allocate_batch_on(
-        &self,
-        topo: &Topology,
-        tms: &[TrafficMatrix],
-    ) -> (Vec<Allocation>, Duration) {
-        self.ctx.allocate_batch_on(topo, tms)
-    }
-
-    /// Fallible batched allocation (see
-    /// [`ServingContext::try_allocate_batch`]).
-    pub fn try_allocate_batch(
-        &self,
-        tms: &[TrafficMatrix],
-    ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.ctx.try_allocate_batch(tms)
-    }
-
-    /// Fallible batched allocation on a failure-modified topology.
-    pub fn try_allocate_batch_on(
-        &self,
-        topo: &Topology,
-        tms: &[TrafficMatrix],
-    ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.ctx.try_allocate_batch_on(topo, tms)
-    }
+/// The single allocation of a window of one.
+fn only((mut out, dt): (Vec<Allocation>, Duration)) -> (Allocation, Duration) {
+    (
+        out.pop().expect("a window of one yields one allocation"),
+        dt,
+    )
 }
 
 #[cfg(test)]
@@ -704,7 +595,7 @@ mod tests {
     use crate::model::{TealConfig, TealModel};
     use teal_topology::b4;
 
-    fn engine() -> TealEngine<TealModel> {
+    fn engine() -> ServingContext<TealModel> {
         let env = Arc::new(Env::for_topology(b4()));
         let model = TealModel::new(
             Arc::clone(&env),
@@ -713,7 +604,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        TealEngine::new(model, EngineConfig::paper_default(12))
+        ServingContext::new(model, EngineConfig::paper_default(12))
     }
 
     #[test]
@@ -741,7 +632,7 @@ mod tests {
         let inst = env.instance(&tm);
         let raw_overuse = teal_lp::evaluate(&inst, &raw).total_overuse;
 
-        let eng = TealEngine::new(model, EngineConfig::paper_default(12));
+        let eng = ServingContext::new(model, EngineConfig::paper_default(12));
         let (tuned, _) = eng.allocate(&tm);
         let tuned_overuse = teal_lp::evaluate(&inst, &tuned).total_overuse;
         assert!(
@@ -810,7 +701,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        let eng = TealEngine::new(
+        let eng = ServingContext::new(
             model,
             EngineConfig {
                 admm: Some(AdmmConfig {
@@ -1009,9 +900,8 @@ mod tests {
 
     #[test]
     fn concurrent_contexts_agree_with_sequential() {
-        let eng = engine();
-        let ctx = Arc::clone(eng.context());
-        let nd = eng.env().num_demands();
+        let ctx = Arc::new(engine());
+        let nd = ctx.env().num_demands();
         let tm_a = TrafficMatrix::new(vec![25.0; nd]);
         let tm_b = TrafficMatrix::new(vec![60.0; nd]);
         let (seq_a, _) = ctx.allocate(&tm_a);

@@ -14,17 +14,20 @@
 //! 3. **slack updates** — non-negative projections in closed form;
 //! 4. **dual ascent** on all three multiplier families.
 //!
-//! Used in two roles, matching the paper: *warm-started for 2–5 iterations*
-//! as Teal's feasibility repair (§3.4), and *cold-started to convergence* as
-//! the large-instance substitute for the Gurobi "LP-all" baseline (our
-//! documented Gurobi substitution; see DESIGN.md).
+//! One solver, [`AdmmBatchSolver`], serves both roles the paper gives ADMM:
+//! *warm-started for 2–5 iterations* as Teal's feasibility repair (§3.4),
+//! and *cold-started to convergence* as the large-instance substitute for
+//! the Gurobi "LP-all" baseline (our documented Gurobi substitution; see
+//! DESIGN.md). The one-shot callers — LP-all in [`crate::pathlp::solve_lp`]
+//! and the Figure-2 racers in [`crate::concurrent`] — solve a batch of one.
 //!
-//! # Batched fine-tuning ([`AdmmBatchSolver`])
+//! # The batched solver
 //!
 //! Appendix C's decomposition is independent not only across demands and
 //! edges but also across *traffic matrices*: no ADMM quantity ever couples
-//! two matrices. The serving path exploits this with a structure-of-arrays
-//! batch solver minted from one shared [`AdmmSkeleton`]:
+//! two matrices, so a lane of a batched run is exactly a batch-of-one run
+//! on its matrix. The solver is structure-of-arrays, minted from one
+//! shared [`AdmmSkeleton`]:
 //!
 //! * **SoA layout.** Every state family (`f`, `z`, slacks, multipliers) is
 //!   stored `[entry][lane]` — for a per-matrix quantity of length `L` and a
@@ -40,20 +43,20 @@
 //!   precomputed entry→position permutation.
 //! * **Flat incidence arena.** The shared index itself is two flat
 //!   CSR-style arenas (path-major entry ids, edge-major positions) plus
-//!   their inverse permutations — no per-path or per-edge `Vec`s — so
+//!   the entry→position permutation — no per-path or per-edge `Vec`s — so
 //!   every sweep's incidence walk is one linear scan of a contiguous
-//!   `u32` slice; see [`AdmmIndex`] for the layout.
+//!   `u32` slice; see `AdmmIndex` for the layout.
 //! * **Parallelism.** Sweeps tile over demand ranges and (entry-balanced)
 //!   edge ranges × the full batch, claimed on the shared
 //!   [`teal_nn::pool`] worker pool — the same pool the forward pass uses,
 //!   so serving never oversubscribes threads. Per-lane dual/primal
 //!   residuals fold through commutative atomic maxima, keeping results
-//!   bit-identical to the per-matrix solver regardless of tile order.
+//!   bit-identical regardless of tile order and thread count.
 //! * **Convergence mask.** Early stopping stays *per matrix*: once a
 //!   lane's residual drops below `tol` it is masked out of every later
 //!   sweep (its state freezes; its iteration count is recorded), while
 //!   unconverged lanes keep iterating — matching exactly what `B`
-//!   independent [`AdmmSolver::run`] calls would do. Until the *first*
+//!   independent batch-of-one runs would do. Until the *first*
 //!   lane freezes the sweeps take an all-lanes-active fast path whose
 //!   commit loops carry no mask test at all (branch-free, zip-vectorized);
 //!   under the paper's fixed-iteration fine-tuning (`tol = 0`) the masked
@@ -69,7 +72,7 @@
 //!   rules: one solve at a time, one arena per thread, safe to carry
 //!   across topology changes and weight swaps.
 
-use crate::problem::{Allocation, Objective, TeInstance};
+use crate::problem::{Allocation, Objective};
 use std::sync::Arc;
 use teal_topology::{PathSet, Topology};
 use teal_traffic::TrafficMatrix;
@@ -147,37 +150,30 @@ impl AdmmReport {
 /// Immutable path-edge incidence indexing shared by every solver built for
 /// one `(topology, path set)` pair. Building it walks every hop of every
 /// candidate path, which dominates solver-construction cost — hoisting it
-/// behind an `Arc` is what makes per-traffic-matrix solver construction
-/// an O(paths) copy instead of an O(nnz) rebuild.
+/// behind an `Arc` is what makes per-window solver construction an
+/// O(batch × paths) copy instead of an O(nnz) rebuild.
 /// The index is a pair of flat CSR-style arenas over the incidence
-/// non-zeros, with permutations between them, and no per-path or per-edge
+/// non-zeros, with a permutation between them, and no per-path or per-edge
 /// `Vec` allocations:
 ///
 /// * **Entry-id space** is path-major: entries are numbered walking every
 ///   hop of every candidate path in order, so path `p`'s entries are the
-///   contiguous id range `path_start[p]..path_start[p + 1]` and
-///   `entry_path[i]` recovers the owning path. The per-matrix solver's
-///   `z`/`λ4` live in this order.
+///   contiguous id range `path_start[p]..path_start[p + 1]`.
 /// * **Position space** is edge-major: the same non-zeros regrouped so edge
 ///   `e` owns the contiguous position range `edge_start[e]..edge_start[e +
-///   1]` (`pos_path`/`pos_entry` describe each position). The batched
-///   solver's `z`/`λ4` live in this order, making its per-edge sweeps
-///   linear scans.
-/// * `entry_pos`/`pos_entry` are the two inverse permutations, so the
-///   F-update's incidence walk over a path is one linear scan of
+///   1]` (`pos_path` names each position's path). The solver's `z`/`λ4`
+///   live in this order, making its per-edge sweeps linear scans.
+/// * `entry_pos` maps entry ids to positions, so the F-update's incidence
+///   walk over a path is one linear scan of
 ///   `entry_pos[path_start[p]..path_start[p + 1]]` — no nested-`Vec`
 ///   pointer chasing at 1,000-node scale where this walk dominates.
 struct AdmmIndex {
-    /// Owning path of each incidence entry (path-major entry-id order).
-    entry_path: Vec<u32>,
     /// Entry-id range of each path: `path_start[p]..path_start[p + 1]`.
     path_start: Vec<usize>,
     /// Position range of each edge: `edge_start[e]..edge_start[e + 1]`.
     edge_start: Vec<usize>,
     /// Path id of each position (edge-major order).
     pos_path: Vec<u32>,
-    /// Entry id of each position (ascending within each edge).
-    pos_entry: Vec<u32>,
     /// Entry id → edge-major position.
     entry_pos: Vec<u32>,
     /// Largest per-edge entry count (sizes the batched z-update scratch).
@@ -212,13 +208,11 @@ impl AdmmIndex {
         }
         let mut cursor = edge_start[..num_edges].to_vec();
         let mut pos_path = vec![0u32; nnz];
-        let mut pos_entry = vec![0u32; nnz];
         let mut entry_pos = vec![0u32; nnz];
         for (i, &e) in entry_edge.iter().enumerate() {
             let pos = cursor[e as usize];
             cursor[e as usize] += 1;
             pos_path[pos] = entry_path[i];
-            pos_entry[pos] = i as u32;
             entry_pos[i] = pos as u32;
         }
         let max_edge_entries = (0..num_edges)
@@ -226,32 +220,20 @@ impl AdmmIndex {
             .max()
             .unwrap_or(0);
         AdmmIndex {
-            entry_path,
             path_start,
             edge_start,
             pos_path,
-            pos_entry,
             entry_pos,
             max_edge_entries,
         }
-    }
-
-    /// Number of incidence non-zeros.
-    fn nnz(&self) -> usize {
-        self.entry_path.len()
-    }
-
-    /// Entry ids of edge `e` (ascending), as a slice of position space.
-    fn edge_entries(&self, e: usize) -> &[u32] {
-        &self.pos_entry[self.edge_start[e]..self.edge_start[e + 1]]
     }
 }
 
 /// Everything about an ADMM deployment that does *not* depend on the traffic
 /// matrix: the incidence index, normalized capacities, and the per-path
 /// objective discounts. Build once per `(topology, path set, objective)`
-/// and mint a cheap [`AdmmSolver`] per traffic matrix with
-/// [`AdmmSkeleton::solver`] — the zero-rebuild serving path.
+/// and mint a cheap [`AdmmBatchSolver`] per window of traffic matrices with
+/// [`AdmmSkeleton::batch_solver`] — the zero-rebuild serving path.
 #[derive(Clone)]
 pub struct AdmmSkeleton {
     num_demands: usize,
@@ -330,30 +312,6 @@ impl AdmmSkeleton {
         }
     }
 
-    /// Mint the solver for one traffic matrix: computes the normalized
-    /// volumes and objective coefficients (O(paths)) and shares everything
-    /// else with the skeleton.
-    pub fn solver(&self, tm: &TrafficMatrix) -> AdmmSolver {
-        assert_eq!(tm.len(), self.num_demands, "traffic matrix arity mismatch");
-        let vols: Vec<f64> = tm.demands().iter().map(|v| v * self.alpha).collect();
-        let k = self.k;
-        let vcoef: Vec<f64> = self
-            .discount
-            .iter()
-            .enumerate()
-            .map(|(p, disc)| vols[p / k] * disc)
-            .collect();
-        AdmmSolver {
-            num_demands: self.num_demands,
-            k,
-            num_edges: self.num_edges,
-            vols,
-            caps: Arc::clone(&self.caps),
-            vcoef,
-            index: Arc::clone(&self.index),
-        }
-    }
-
     /// Mint the batched solver for a whole window of traffic matrices:
     /// per-lane normalized volumes and objective coefficients are laid out
     /// structure-of-arrays (`[entry][lane]`), everything else is shared with
@@ -409,312 +367,6 @@ impl AdmmSkeleton {
     }
 }
 
-/// Pre-indexed ADMM solver for one `(topology, path set, traffic matrix)`
-/// triple. Constructed either directly from a [`TeInstance`] or — on the
-/// serving path — cheaply from a shared [`AdmmSkeleton`].
-pub struct AdmmSolver {
-    num_demands: usize,
-    k: usize,
-    num_edges: usize,
-    /// Normalized demand volumes per demand.
-    vols: Vec<f64>,
-    /// Normalized capacities per edge.
-    caps: Arc<Vec<f64>>,
-    /// Normalized per-path objective coefficients.
-    vcoef: Vec<f64>,
-    /// Shared incidence index.
-    index: Arc<AdmmIndex>,
-}
-
-struct State {
-    f: Vec<f64>,
-    z: Vec<f64>,
-    s1: Vec<f64>,
-    s3: Vec<f64>,
-    l1: Vec<f64>,
-    l3: Vec<f64>,
-    l4: Vec<f64>,
-}
-
-impl AdmmSolver {
-    /// Build the solver for an instance under a linear objective
-    /// (`TotalFlow` or `DelayPenalizedFlow`; `MinMaxLinkUtil` uses
-    /// [`crate::pathlp::solve_mlu`] instead). One-shot convenience — serving
-    /// paths should build an [`AdmmSkeleton`] once and mint per-matrix
-    /// solvers from it.
-    pub fn new(inst: &TeInstance, obj: Objective) -> Self {
-        AdmmSkeleton::new(inst.topo, inst.paths, obj).solver(inst.tm)
-    }
-
-    /// Run ADMM starting from `init` (which is projected onto the demand
-    /// constraints first). Returns the refined allocation and a report.
-    pub fn run(&self, init: &Allocation, cfg: AdmmConfig) -> (Allocation, AdmmReport) {
-        self.run_with_cancel(init, cfg, None)
-    }
-
-    /// Like [`AdmmSolver::run`], checking an external cancellation flag
-    /// between iterations (for racing solvers).
-    pub fn run_with_cancel(
-        &self,
-        init: &Allocation,
-        cfg: AdmmConfig,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-    ) -> (Allocation, AdmmReport) {
-        assert_eq!(init.num_demands(), self.num_demands);
-        assert_eq!(init.k(), self.k);
-        let mut warm = init.clone();
-        warm.project_demand_constraints();
-
-        let nnz = self.index.nnz();
-        let mut st = State {
-            f: warm.splits().to_vec(),
-            z: vec![0.0; nnz],
-            s1: vec![0.0; self.num_demands],
-            s3: vec![0.0; self.num_edges],
-            l1: vec![0.0; self.num_demands],
-            l3: vec![0.0; self.num_edges],
-            l4: vec![0.0; nnz],
-        };
-        // Initialize z to match the warm-started flows and slacks to the
-        // residual capacities, so iteration 1 starts near-consistent.
-        for (i, &p) in self.index.entry_path.iter().enumerate() {
-            st.z[i] = st.f[p as usize] * self.vols[p as usize / self.k];
-        }
-        for d in 0..self.num_demands {
-            let sum: f64 = st.f[d * self.k..(d + 1) * self.k].iter().sum();
-            st.s1[d] = (1.0 - sum).max(0.0);
-        }
-        for e in 0..self.num_edges {
-            let sum: f64 = self
-                .index
-                .edge_entries(e)
-                .iter()
-                .map(|&i| st.z[i as usize])
-                .sum();
-            st.s3[e] = (self.caps[e] - sum).max(0.0);
-        }
-
-        let rho = cfg.rho;
-        let serial = cfg.serial;
-        let mut iterations = 0;
-        let mut last_primal = f64::INFINITY;
-        let mut last_dual = f64::INFINITY;
-        for _ in 0..cfg.max_iters {
-            if let Some(flag) = cancel {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-            }
-            let df = self.update_f(&mut st, rho, serial);
-            let dz = self.update_z(&mut st, rho, serial);
-            self.update_slacks(&mut st, rho);
-            let primal = self.dual_ascent(&mut st, rho);
-            // Convergence needs both feasibility (primal residual) and a
-            // stationary iterate (dual residual ~ ρ * step size); primal
-            // alone is satisfied by the all-zero point.
-            last_primal = primal;
-            last_dual = rho * df.max(dz);
-            iterations += 1;
-            if cfg.tol > 0.0 && last_primal.max(last_dual) < cfg.tol {
-                break;
-            }
-        }
-
-        let mut out = Allocation::from_splits(self.k, st.f);
-        out.project_demand_constraints();
-        (
-            out,
-            AdmmReport {
-                iterations,
-                primal_residual: last_primal,
-                dual_residual: last_dual,
-            },
-        )
-    }
-
-    /// Per-demand F-update (parallel across demand chunks). Returns the
-    /// max absolute change of any split (the F-block dual residual).
-    fn update_f(&self, st: &mut State, rho: f64, serial: bool) -> f64 {
-        let k = self.k;
-        let z = &st.z;
-        let s1 = &st.s1;
-        let l1 = &st.l1;
-        let l4 = &st.l4;
-        let solver = self;
-        let prev = st.f.clone();
-        par_chunks_indexed(&mut st.f, k * 64, serial, |start, chunk| {
-            // `start` is a split index; convert to demand ids.
-            debug_assert_eq!(start % k, 0);
-            let d0 = start / k;
-            for (dd, row) in chunk.chunks_mut(k).enumerate() {
-                let d = d0 + dd;
-                let vol = solver.vols[d];
-                if vol <= 0.0 {
-                    row.iter_mut().for_each(|v| *v = 0.0);
-                    continue;
-                }
-                let mut b = [0.0f64; 16];
-                let mut diag = [0.0f64; 16];
-                for (j, bj) in b.iter_mut().enumerate().take(k) {
-                    let p = d * k + j;
-                    let mut acc = solver.vcoef[p] - l1[d] - rho * (s1[d] - 1.0);
-                    // Path p's entry ids are contiguous: one linear scan.
-                    let (i0, i1) = (solver.index.path_start[p], solver.index.path_start[p + 1]);
-                    for i in i0..i1 {
-                        acc += -l4[i] * vol + rho * vol * z[i];
-                    }
-                    *bj = acc;
-                    diag[j] = rho * vol * vol * (i1 - i0) as f64;
-                }
-                // Sherman-Morrison solve of (diag + rho*11^T) x = b.
-                let mut sum_binv = 0.0;
-                let mut sum_inv = 0.0;
-                for j in 0..k {
-                    sum_binv += b[j] / diag[j];
-                    sum_inv += 1.0 / diag[j];
-                }
-                let corr = rho * sum_binv / (1.0 + rho * sum_inv);
-                for (j, r) in row.iter_mut().enumerate() {
-                    let x = (b[j] - corr) / diag[j];
-                    *r = x.clamp(0.0, 1.0);
-                }
-            }
-        });
-        prev.iter()
-            .zip(&st.f)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Per-edge z-update (parallel across edges). Returns the max absolute
-    /// change of any auxiliary variable (the z-block dual residual).
-    fn update_z(&self, st: &mut State, rho: f64, serial: bool) -> f64 {
-        let k = self.k;
-        let f = &st.f;
-        let s3 = &st.s3;
-        let l3 = &st.l3;
-        let l4 = &st.l4;
-        let solver = self;
-        // z entries are not contiguous per edge, so compute per-edge results
-        // into a scratch copy first (indexable in parallel by edge).
-        let mut new_z = st.z.clone();
-        if serial {
-            // Single-threaded fast path (the batched serving engine runs one
-            // serial solver per matrix): plain writes, one reusable scratch
-            // buffer, no atomics.
-            let mut bs: Vec<f64> = Vec::new();
-            for e in 0..self.num_edges {
-                let ents = solver.index.edge_entries(e);
-                if ents.is_empty() {
-                    continue;
-                }
-                let n = ents.len() as f64;
-                let mut sum_b = 0.0;
-                bs.clear();
-                for &i in ents {
-                    let i = i as usize;
-                    let p = solver.index.entry_path[i];
-                    let vol = solver.vols[p as usize / k];
-                    let b =
-                        -l3[e] - rho * (s3[e] - solver.caps[e]) + l4[i] + rho * f[p as usize] * vol;
-                    bs.push(b);
-                    sum_b += b;
-                }
-                let corr = sum_b / rho / (1.0 + n);
-                for (&i, b) in ents.iter().zip(&bs) {
-                    new_z[i as usize] = b / rho - corr;
-                }
-            }
-        } else {
-            let new_z_cell: Vec<std::sync::atomic::AtomicU64> = new_z
-                .iter()
-                .map(|v| std::sync::atomic::AtomicU64::new(v.to_bits()))
-                .collect();
-            let edges: Vec<usize> = (0..self.num_edges).collect();
-            par_iter(&edges, 64, serial, |&e| {
-                let ents = solver.index.edge_entries(e);
-                if ents.is_empty() {
-                    return;
-                }
-                let n = ents.len() as f64;
-                let mut sum_b = 0.0;
-                let mut bs: Vec<f64> = Vec::with_capacity(ents.len());
-                for &i in ents {
-                    let i = i as usize;
-                    let p = solver.index.entry_path[i];
-                    let vol = solver.vols[p as usize / k];
-                    let b =
-                        -l3[e] - rho * (s3[e] - solver.caps[e]) + l4[i] + rho * f[p as usize] * vol;
-                    bs.push(b);
-                    sum_b += b;
-                }
-                let corr = sum_b / rho / (1.0 + n);
-                for (&i, b) in ents.iter().zip(bs) {
-                    let zi = b / rho - corr;
-                    new_z_cell[i as usize]
-                        .store(zi.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                }
-            });
-            for (v, cell) in new_z.iter_mut().zip(&new_z_cell) {
-                *v = f64::from_bits(cell.load(std::sync::atomic::Ordering::Relaxed));
-            }
-        }
-        let dz =
-            st.z.iter()
-                .zip(&new_z)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-        st.z = new_z;
-        dz
-    }
-
-    /// Closed-form non-negative slack updates.
-    fn update_slacks(&self, st: &mut State, rho: f64) {
-        let k = self.k;
-        for d in 0..self.num_demands {
-            let sum: f64 = st.f[d * k..(d + 1) * k].iter().sum();
-            st.s1[d] = (1.0 - sum - st.l1[d] / rho).max(0.0);
-        }
-        for e in 0..self.num_edges {
-            let sum: f64 = self
-                .index
-                .edge_entries(e)
-                .iter()
-                .map(|&i| st.z[i as usize])
-                .sum();
-            st.s3[e] = (self.caps[e] - sum - st.l3[e] / rho).max(0.0);
-        }
-    }
-
-    /// Dual ascent; returns the max primal residual.
-    fn dual_ascent(&self, st: &mut State, rho: f64) -> f64 {
-        let k = self.k;
-        let mut resid = 0.0f64;
-        for d in 0..self.num_demands {
-            let g = st.f[d * k..(d + 1) * k].iter().sum::<f64>() + st.s1[d] - 1.0;
-            st.l1[d] += rho * g;
-            resid = resid.max(g.abs());
-        }
-        for e in 0..self.num_edges {
-            let sum: f64 = self
-                .index
-                .edge_entries(e)
-                .iter()
-                .map(|&i| st.z[i as usize])
-                .sum();
-            let g = sum + st.s3[e] - self.caps[e];
-            st.l3[e] += rho * g;
-            resid = resid.max(g.abs());
-        }
-        for (i, &p) in self.index.entry_path.iter().enumerate() {
-            let g = st.f[p as usize] * self.vols[p as usize / k] - st.z[i];
-            st.l4[i] += rho * g;
-            resid = resid.max(g.abs());
-        }
-        resid
-    }
-}
-
 /// Structure-of-arrays ADMM state for a batch of matrices: each per-matrix
 /// array of length `L` becomes `L × batch` with lanes contiguous
 /// (`value[i * batch + b]`), and `z`/`l4` use edge-major entry positions
@@ -762,7 +414,7 @@ impl BatchState {
 }
 
 /// Reusable scratch for [`AdmmBatchSolver::run_batch_into`]: the SoA
-/// [`BatchState`], per-lane bookkeeping, tile bounds, per-tile sweep
+/// `BatchState`, per-lane bookkeeping, tile bounds, per-tile sweep
 /// scratch, and the atomic lane-max slots. Every buffer is grow-only, so a
 /// server that keeps one arena per dispatch lane reaches an
 /// **allocation-free steady state**: from the second window of a given
@@ -1047,16 +699,17 @@ fn edge_bounds_into(edge_start: &[usize], tiles: usize, out: &mut Vec<usize>) {
     out.dedup();
 }
 
-/// Batched ADMM fine-tuner: repairs a whole window of traffic matrices in
-/// **one pass over the shared incidence index per sweep**, instead of one
-/// per-matrix solver per thread re-reading the index `batch` times. Minted
-/// by [`AdmmSkeleton::batch_solver`]; see the module docs for the SoA
-/// layout, parallel tiling, and per-matrix convergence-mask semantics.
+/// Batched ADMM solver: repairs a whole window of traffic matrices in
+/// **one pass over the shared incidence index per sweep**, instead of
+/// re-reading the index once per matrix. Minted by
+/// [`AdmmSkeleton::batch_solver`]; see the module docs for the SoA layout,
+/// parallel tiling, and per-matrix convergence-mask semantics.
 ///
 /// Produces exactly the allocations, iteration counts, and residuals that
-/// `batch` independent [`AdmmSolver::run`] calls would (the per-lane
-/// arithmetic is identical, operation for operation) — property-tested to
-/// 1e-6 in `tests/batch_equivalence.rs`.
+/// `batch` independent per-matrix ADMM runs would (the per-lane arithmetic
+/// is the textbook per-matrix iteration, operation for operation) —
+/// property-tested to 1e-6 against a serial per-matrix reference in
+/// `tests/batch_equivalence.rs`.
 pub struct AdmmBatchSolver {
     batch: usize,
     num_demands: usize,
@@ -1079,7 +732,7 @@ impl AdmmBatchSolver {
     }
 
     /// Run ADMM on every lane from its own warm start (each projected onto
-    /// the demand constraints first, like [`AdmmSolver::run`]). With
+    /// the demand constraints first). With
     /// `cfg.tol > 0`, lanes stop independently once their residual clears
     /// the bar (the convergence mask); the rest keep sweeping. Returns the
     /// refined allocations and one report per matrix. One-shot convenience
@@ -1171,8 +824,9 @@ impl AdmmBatchSolver {
                 }
             }
         }
-        // Same near-consistent start as the per-matrix solver: z matches the
-        // warm-started flows, slacks absorb the residual capacities.
+        // Near-consistent start: z matches the warm-started flows, slacks
+        // absorb the residual capacities, so iteration 1 starts close to
+        // feasible.
         for pos in 0..npos {
             let p = self.index.pos_path[pos] as usize;
             let d = p / k;
@@ -1224,8 +878,9 @@ impl AdmmBatchSolver {
                     continue;
                 }
                 iterations[b] += 1;
-                // Same two-sided test as the per-matrix solver: feasibility
-                // (primal) plus a stationary iterate (dual ~ ρ · step).
+                // Two-sided test: feasibility (primal) plus a stationary
+                // iterate (dual ~ ρ · step); primal alone is satisfied by
+                // the all-zero point.
                 primal_final[b] = primal[b];
                 dual_final[b] = rho * df[b].max(dz[b]);
                 residual[b] = primal_final[b].max(dual_final[b]);
@@ -1486,8 +1141,9 @@ impl AdmmBatchSolver {
 
     /// Fused batched slack projections + dual ascent: one demand-tiled pass
     /// (s1, λ1) and one edge-tiled pass (s3, λ3, λ4 — each edge owns its λ4
-    /// positions). The per-subproblem arithmetic is exactly the per-matrix
-    /// solver's; fusing is legal because no quantity crosses subproblems.
+    /// positions). The per-subproblem arithmetic is exactly the unfused
+    /// slack-then-dual order; fusing is legal because no quantity crosses
+    /// subproblems.
     /// Writes per-lane max primal residual into `out`.
     #[allow(clippy::too_many_arguments)]
     fn update_slacks_duals(
@@ -1668,76 +1324,11 @@ impl AdmmBatchSolver {
     }
 }
 
-/// Minimal scoped-thread helpers for the per-matrix solver. The batched
-/// solver runs on the persistent [`teal_nn::pool`] instead; these stay on
-/// crossbeam scopes because the Figure-2 racing experiment needs each racer
-/// to own plain threads rather than share the global pool.
-fn par_chunks_indexed<T: Send, F>(data: &mut [T], min_chunk: usize, serial: bool, f: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = if serial {
-        1
-    } else {
-        hw.min(8).min(len.div_ceil(min_chunk)).max(1)
-    };
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let mut chunk = len.div_ceil(threads);
-    // Keep chunk a multiple of min_chunk so row groups stay intact.
-    chunk = chunk.div_ceil(min_chunk) * min_chunk;
-    crossbeam::scope(|s| {
-        for (i, c) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| f(i * chunk, c));
-        }
-    })
-    .expect("admm worker panicked");
-}
-
-fn par_iter<T: Sync, F>(items: &[T], min_chunk: usize, serial: bool, f: F)
-where
-    F: Fn(&T) + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return;
-    }
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = if serial {
-        1
-    } else {
-        hw.min(8).min(len.div_ceil(min_chunk)).max(1)
-    };
-    if threads <= 1 {
-        items.iter().for_each(&f);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    crossbeam::scope(|s| {
-        for c in items.chunks(chunk) {
-            let f = &f;
-            s.spawn(move |_| c.iter().for_each(f));
-        }
-    })
-    .expect("admm worker panicked");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::evaluate;
+    use crate::problem::TeInstance;
     use crate::simplex;
     use teal_topology::{PathSet, Topology};
     use teal_traffic::TrafficMatrix;
@@ -1750,6 +1341,14 @@ mod tests {
         t.add_link(2, 3, 10.0, 1.5);
         t.add_link(0, 3, 5.0, 4.0);
         t
+    }
+
+    /// One-matrix ADMM run: a batch of one through the batched solver.
+    fn run_one(inst: &TeInstance, init: &Allocation, cfg: AdmmConfig) -> (Allocation, AdmmReport) {
+        let (mut outs, mut reps) = AdmmSkeleton::new(inst.topo, inst.paths, Objective::TotalFlow)
+            .batch_solver(std::slice::from_ref(inst.tm))
+            .run_batch(std::slice::from_ref(init), cfg);
+        (outs.pop().expect("one lane"), reps.pop().expect("one lane"))
     }
 
     /// Exact optimum of the same LP via simplex, for comparison.
@@ -1789,8 +1388,11 @@ mod tests {
         // cut capacity.
         let tm = TrafficMatrix::new(vec![30.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
-        let (alloc, report) = solver.run(&Allocation::zeros(1, 4), AdmmConfig::to_convergence());
+        let (alloc, report) = run_one(
+            &inst,
+            &Allocation::zeros(1, 4),
+            AdmmConfig::to_convergence(),
+        );
         let stats = evaluate(&inst, &alloc);
         let opt = simplex_optimum(&inst);
         assert!(
@@ -1810,8 +1412,11 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![12.0, 9.0, 15.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
-        let (alloc, _) = solver.run(&Allocation::zeros(3, 4), AdmmConfig::to_convergence());
+        let (alloc, _) = run_one(
+            &inst,
+            &Allocation::zeros(3, 4),
+            AdmmConfig::to_convergence(),
+        );
         let got = evaluate(&inst, &alloc).realized_flow;
         let opt = simplex_optimum(&inst);
         assert!(got > 0.93 * opt, "admm {got} vs simplex {opt}");
@@ -1829,8 +1434,8 @@ mod tests {
         let mut bad_proj = bad.clone();
         bad_proj.project_demand_constraints();
         let before = evaluate(&inst, &bad_proj).total_overuse;
-        let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
-        let (tuned, _) = solver.run(
+        let (tuned, _) = run_one(
+            &inst,
             &bad,
             AdmmConfig {
                 rho: 1.0,
@@ -1850,9 +1455,12 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![18.0, 6.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
         // Near-optimal warm start.
-        let (near_opt, _) = solver.run(&Allocation::zeros(2, 4), AdmmConfig::to_convergence());
+        let (near_opt, _) = run_one(
+            &inst,
+            &Allocation::zeros(2, 4),
+            AdmmConfig::to_convergence(),
+        );
         let opt_flow = evaluate(&inst, &near_opt).realized_flow;
         let cfg5 = AdmmConfig {
             rho: 1.0,
@@ -1860,7 +1468,7 @@ mod tests {
             tol: 0.0,
             serial: false,
         };
-        let (from_warm, _) = solver.run(&near_opt, cfg5);
+        let (from_warm, _) = run_one(&inst, &near_opt, cfg5);
         let warm_flow = evaluate(&inst, &from_warm).realized_flow;
         // Five fine-tuning iterations on a near-optimal warm start must
         // preserve near-optimality (the property §3.4 relies on).
@@ -1871,7 +1479,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_solver_matches_per_matrix_runs() {
+    fn batch_lanes_match_batch_of_one_runs() {
         let topo = diamond();
         let pairs = vec![(0usize, 3usize), (1usize, 2usize), (3usize, 0usize)];
         let paths = PathSet::compute(&topo, &pairs, 4);
@@ -1895,7 +1503,8 @@ mod tests {
         };
         let (outs, reps) = skel.batch_solver(&tms).run_batch(&inits, cfg);
         for b in 0..tms.len() {
-            let (want, wrep) = skel.solver(&tms[b]).run(&inits[b], cfg);
+            let inst = TeInstance::new(&topo, &paths, &tms[b]);
+            let (want, wrep) = run_one(&inst, &inits[b], cfg);
             assert_eq!(
                 reps[b].iterations, wrep.iterations,
                 "lane {b} iteration count diverged"
@@ -1903,7 +1512,7 @@ mod tests {
             for (x, y) in outs[b].splits().iter().zip(want.splits()) {
                 assert!(
                     (x - y).abs() <= 1e-9,
-                    "lane {b}: batched {x} vs per-matrix {y}"
+                    "lane {b}: batch of 3 {x} vs batch of one {y}"
                 );
             }
         }
@@ -1916,8 +1525,8 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![0.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
-        let (alloc, _) = solver.run(
+        let (alloc, _) = run_one(
+            &inst,
             &Allocation::shortest_path(1, 4),
             AdmmConfig::to_convergence(),
         );

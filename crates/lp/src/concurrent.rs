@@ -7,80 +7,39 @@
 //! consequence is the famously marginal multicore speedup the paper measures
 //! on Gurobi (3.8x at 16 threads).
 //!
-//! We reproduce the mechanism: with `t` threads we launch `t` serial solver
-//! instances whose configurations differ (ADMM penalty ρ and over-relaxation
-//! of the tolerance), and take the first to converge. Extra threads help only
-//! insofar as one of the alternative configurations happens to converge
-//! faster — exactly the sublinear behaviour of Figure 2.
+//! We reproduce the mechanism's outcome without its threads. Each racing
+//! configuration (an ADMM penalty ρ from a fixed ladder) is one serial
+//! ADMM solve of the instance, a batch of one through
+//! [`crate::admm::AdmmBatchSolver`]. [`measure_racers`] times every
+//! configuration on its own, and [`race_time_with_threads`] derives what a
+//! race on `t` dedicated cores would take: the fastest of the first `t`
+//! configurations. Extra threads help only insofar as one of the
+//! alternative configurations happens to converge faster — exactly the
+//! sublinear behaviour of Figure 2.
 
-use crate::admm::{AdmmConfig, AdmmSolver};
+use crate::admm::{AdmmConfig, AdmmSkeleton};
 use crate::problem::{Allocation, Objective, TeInstance};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Result of a concurrent-racing solve.
-#[derive(Debug)]
-pub struct RaceResult {
-    /// The winning allocation.
-    pub alloc: Allocation,
-    /// Wall-clock time until the first instance finished.
-    pub elapsed: Duration,
-    /// Index of the winning configuration.
-    pub winner: usize,
-}
-
-/// Candidate ρ values assigned round-robin to racing instances. The first is
-/// the default; alternatives are plausible but usually slower, so extra
-/// threads yield diminishing returns.
+/// Candidate ρ values, one per racing configuration in thread order. The
+/// first is the default; alternatives are plausible but usually slower, so
+/// extra threads yield diminishing returns.
 const RHO_LADDER: [f64; 8] = [1.0, 0.5, 2.0, 0.25, 4.0, 0.125, 8.0, 16.0];
 
-/// Solve `inst` with `threads` racing serial instances and return the first
-/// result (plus timing).
-pub fn race_solve(inst: &TeInstance, obj: Objective, threads: usize, tol: f64) -> RaceResult {
-    assert!(threads >= 1);
-    let solver = AdmmSolver::new(inst, obj);
-    let start = Instant::now();
-    let done = AtomicBool::new(false);
-    let winner: Mutex<Option<(usize, Allocation, Duration)>> = Mutex::new(None);
-
-    crossbeam::scope(|s| {
-        for t in 0..threads {
-            let solver = &solver;
-            let done = &done;
-            let winner = &winner;
-            let inst_nd = inst.num_demands();
-            let inst_k = inst.k();
-            s.spawn(move |_| {
-                let rho = RHO_LADDER[t % RHO_LADDER.len()];
-                // Each racer is a *serial* instance (as Gurobi's concurrent
-                // mode runs serial algorithms per thread); it checks the
-                // shared flag each iteration and stops once someone won.
-                let cfg = AdmmConfig {
-                    rho,
-                    max_iters: 20_000,
-                    tol,
-                    serial: true,
-                };
-                let init = Allocation::zeros(inst_nd, inst_k);
-                let (result, _rep) = solver.run_with_cancel(&init, cfg, Some(done));
-                // First finisher wins; racers cancelled by the flag find
-                // `done` already true and cannot record.
-                if !done.swap(true, Ordering::SeqCst) {
-                    let mut w = winner.lock().unwrap();
-                    *w = Some((t, result, start.elapsed()));
-                }
-            });
-        }
-    })
-    .expect("racing solver panicked");
-
-    let (idx, alloc, elapsed) = winner.into_inner().unwrap().expect("no racer finished");
-    RaceResult {
-        alloc,
-        elapsed,
-        winner: idx,
-    }
+/// One racer: a serial (as Gurobi's concurrent mode runs serial algorithms
+/// per thread) cold-started ADMM solve under penalty `rho`.
+fn racer_solve(skel: &AdmmSkeleton, inst: &TeInstance, rho: f64, tol: f64) -> Allocation {
+    let cfg = AdmmConfig {
+        rho,
+        max_iters: 20_000,
+        tol,
+        serial: true,
+    };
+    let init = Allocation::zeros(inst.num_demands(), inst.k());
+    let (mut allocs, _) = skel
+        .batch_solver(std::slice::from_ref(inst.tm))
+        .run_batch(std::slice::from_ref(&init), cfg);
+    allocs.pop().expect("a batch of one yields one allocation")
 }
 
 /// Measure each racing configuration's *serial* solve time, one at a time.
@@ -97,18 +56,11 @@ pub fn measure_racers(
     num_configs: usize,
     tol: f64,
 ) -> Vec<Duration> {
-    let solver = AdmmSolver::new(inst, obj);
+    let skel = AdmmSkeleton::new(inst.topo, inst.paths, obj);
     let mut times = Vec::with_capacity(num_configs);
     for &rho in RHO_LADDER.iter().take(num_configs) {
-        let cfg = AdmmConfig {
-            rho,
-            max_iters: 20_000,
-            tol,
-            serial: true,
-        };
-        let init = Allocation::zeros(inst.num_demands(), inst.k());
         let start = Instant::now();
-        let _ = solver.run(&init, cfg);
+        std::hint::black_box(racer_solve(&skel, inst, rho, tol));
         times.push(start.elapsed());
     }
     times
@@ -129,6 +81,7 @@ pub fn race_time_with_threads(racer_times: &[Duration], threads: usize) -> Durat
 mod tests {
     use super::*;
     use crate::flow::evaluate;
+    use crate::pathlp::{solve_lp, LpConfig, LpMethod};
     use teal_topology::{PathSet, Topology};
     use teal_traffic::TrafficMatrix;
 
@@ -142,28 +95,54 @@ mod tests {
     }
 
     #[test]
-    fn race_produces_good_solution() {
+    fn measure_racers_returns_one_time_per_configuration() {
         let topo = diamond();
-        let pairs = vec![(0usize, 3usize)];
-        let paths = PathSet::compute(&topo, &pairs, 4);
+        let paths = PathSet::compute(&topo, &[(0, 3)], 4);
         let tm = TrafficMatrix::new(vec![25.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let r = race_solve(&inst, Objective::TotalFlow, 2, 1e-4);
-        let flow = evaluate(&inst, &r.alloc).realized_flow;
-        assert!(flow > 18.0, "flow {flow}");
-        assert!(r.winner < 2);
+        for n in [1, 3] {
+            let times = measure_racers(&inst, Objective::TotalFlow, n, 1e-4);
+            assert_eq!(times.len(), n);
+            assert!(times.iter().all(|t| *t > Duration::ZERO));
+        }
     }
 
     #[test]
-    fn single_thread_works() {
+    fn racer_reaches_simplex_flow_on_the_diamond() {
         let topo = diamond();
-        let pairs = vec![(0usize, 3usize)];
-        let paths = PathSet::compute(&topo, &pairs, 4);
-        let tm = TrafficMatrix::new(vec![5.0]);
+        let paths = PathSet::compute(&topo, &[(0, 3), (1, 2), (3, 0)], 4);
+        let tm = TrafficMatrix::new(vec![25.0, 9.0, 15.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let r = race_solve(&inst, Objective::TotalFlow, 1, 1e-4);
-        assert_eq!(r.winner, 0);
-        let flow = evaluate(&inst, &r.alloc).realized_flow;
-        assert!((flow - 5.0).abs() < 0.3, "flow {flow}");
+        let (exact, info) = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default());
+        assert_eq!(info.method, LpMethod::Simplex);
+        let opt = evaluate(&inst, &exact).realized_flow;
+        let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
+        // The default-ρ racer, the one every thread count includes.
+        let alloc = racer_solve(&skel, &inst, RHO_LADDER[0], 1e-4);
+        assert!(alloc.demand_feasible(1e-6));
+        let flow = evaluate(&inst, &alloc).realized_flow;
+        assert!(flow >= 0.95 * opt, "racer {flow} vs simplex {opt}");
+    }
+
+    #[test]
+    fn race_time_is_the_prefix_minimum() {
+        let ms = Duration::from_millis;
+        let times = [ms(9), ms(12), ms(4), ms(7), ms(2)];
+        let want = [ms(9), ms(9), ms(4), ms(4), ms(2)];
+        for (t, &w) in want.iter().enumerate() {
+            assert_eq!(
+                race_time_with_threads(&times, t + 1),
+                w,
+                "threads {}",
+                t + 1
+            );
+        }
+        for t in 1..times.len() {
+            assert!(race_time_with_threads(&times, t + 1) <= race_time_with_threads(&times, t));
+        }
+        // Zero threads clamps to one; more threads than racers to all.
+        assert_eq!(race_time_with_threads(&times, 0), ms(9));
+        assert_eq!(race_time_with_threads(&times, 64), ms(2));
+        assert_eq!(race_time_with_threads(&[], 4), Duration::ZERO);
     }
 }

@@ -6,8 +6,8 @@
 //!   and, run to convergence, as the large-instance "LP-all" substitute,
 //! * a [`fleischer`] multiplicative-weights approximation (§2.1's
 //!   combinatorial baseline),
-//! * [`concurrent`] racing of serial instances reproducing Figure 2's
-//!   marginal multicore speedup,
+//! * [`concurrent`] timing of serial racing configurations reproducing
+//!   Figure 2's marginal multicore speedup,
 //! * the [`flow`] module defining the feasible-flow semantics every scheme
 //!   is scored under.
 
@@ -19,7 +19,7 @@ pub mod pathlp;
 pub mod problem;
 pub mod simplex;
 
-pub use admm::{AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, AdmmSolver, BatchArena};
+pub use admm::{AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, BatchArena};
 pub use flow::{evaluate, evaluate_with_gamma, objective_value, FlowStats};
 pub use pathlp::{solve_lp, solve_mlu, LpConfig, LpInfo, LpMethod};
 pub use problem::{Allocation, Objective, TeInstance};

@@ -14,7 +14,7 @@
 //! while minimizing peak utilization, is solved by projected subgradient
 //! descent over the per-demand probability simplices.
 
-use crate::admm::{AdmmConfig, AdmmSolver};
+use crate::admm::{AdmmConfig, AdmmSkeleton};
 use crate::problem::{Allocation, Objective, TeInstance};
 use crate::simplex::{self, Row, SimplexStatus};
 
@@ -114,14 +114,15 @@ pub fn solve_lp(inst: &TeInstance, obj: Objective, cfg: &LpConfig) -> (Allocatio
                     },
                 )
             } else {
-                let solver = AdmmSolver::new(inst, obj);
                 let init = Allocation::zeros(inst.num_demands(), k);
-                let (alloc, rep) = solver.run(&init, cfg.admm);
+                let (mut allocs, reps) = AdmmSkeleton::new(inst.topo, inst.paths, obj)
+                    .batch_solver(std::slice::from_ref(inst.tm))
+                    .run_batch(std::slice::from_ref(&init), cfg.admm);
                 (
-                    alloc,
+                    allocs.pop().expect("a batch of one yields one allocation"),
                     LpInfo {
                         method: LpMethod::Admm,
-                        iterations: rep.iterations,
+                        iterations: reps[0].iterations,
                     },
                 )
             }

@@ -554,11 +554,15 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, SubmitRequest), WireError>
         demands.push(r.f64()?);
     }
     r.done()?;
+    // NaN, infinite or negative volumes are a malformed frame: rejected
+    // here, before `TrafficMatrix`'s invariant can panic the decoding
+    // thread.
+    let tm = TrafficMatrix::try_new(demands).map_err(|e| WireError::Protocol(e.to_string()))?;
     Ok((
         id,
         SubmitRequest {
             topology,
-            tm: TrafficMatrix::new(demands),
+            tm,
             deadline,
             failed_links,
             tenant,

@@ -92,12 +92,10 @@ fn mixed_window_over_loopback_matches_direct_context_bitwise() {
             .submit(&SubmitRequest::new("b4", tm_b4(i)).with_failed_link(0, 1))
             .wait()
             .expect("failure-override request");
-        let (want, _) = ref_b4
-            .try_allocate_batch_on(&failed_b4, std::slice::from_ref(&tm_b4(i)))
-            .expect("direct override");
+        let (want, _) = ref_b4.allocate_on(&failed_b4, &tm_b4(i));
         assert_eq!(
-            reply.allocation, want[0],
-            "failed-link b4 request {i} not bitwise-equal to try_allocate_batch_on"
+            reply.allocation, want,
+            "failed-link b4 request {i} not bitwise-equal to allocate_on"
         );
         // The failure really changed the answer, or this proves nothing.
         let (plain, _) = ref_b4
@@ -250,4 +248,58 @@ fn version_mismatch_is_refused_at_handshake() {
     let mut rest = Vec::new();
     let got = stream.read_to_end(&mut rest).unwrap_or(0);
     assert_eq!(got, 0, "server answered a version-mismatched client");
+}
+
+#[test]
+fn hostile_demand_frame_closes_only_its_connection() {
+    // A REQUEST carrying a NaN, infinite or negative demand is a malformed
+    // frame: the event loop must hang up that connection (as for any
+    // protocol error) and keep serving everyone else — not panic the
+    // decoding thread.
+    use std::io::Read;
+    use teal_serve::wire;
+    let env = Arc::new(Env::for_topology(teal_topology::b4()));
+    let registry = ModelRegistry::new();
+    registry.insert("b4", context(&env, 0));
+    let daemon = Arc::new(ServeDaemon::with_defaults(registry));
+    let server = TealServer::bind(Arc::clone(&daemon), "127.0.0.1:0").expect("bind");
+    let tm = TrafficMatrix::new(vec![10.0; env.num_demands()]);
+
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut hello = Vec::new();
+        wire::encode_hello(&mut hello);
+        wire::write_frame(&mut stream, &hello).expect("send hello");
+        let mut decoder = wire::FrameDecoder::new();
+        let ok = decoder
+            .read_frame(&mut stream)
+            .expect("read HELLO_OK")
+            .expect("HELLO_OK frame")
+            .to_vec();
+        wire::decode_hello_ok(&ok).expect("handshake");
+
+        // The demand vector is the tail of a REQUEST payload.
+        let mut req = Vec::new();
+        wire::encode_request(&mut req, 7, &SubmitRequest::new("b4", tm.clone()));
+        let n = req.len();
+        req[n - 8..].copy_from_slice(&bad.to_le_bytes());
+        wire::write_frame(&mut stream, &req).expect("send hostile request");
+        // Hung up without a reply: EOF, not a REPLY frame or a timeout.
+        let mut rest = Vec::new();
+        let got = stream
+            .read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("demand {bad}: server neither replied nor hung up: {e}"));
+        assert_eq!(got, 0, "demand {bad}: server answered a hostile request");
+    }
+
+    // A fresh connection to the same server is still served.
+    let client = TealClient::connect(server.local_addr()).expect("connect after hostile frames");
+    let reply = client
+        .submit(&SubmitRequest::new("b4", tm.clone()))
+        .wait()
+        .expect("served after hostile frames");
+    assert_eq!(reply.allocation.num_demands(), env.num_demands());
 }

@@ -348,3 +348,26 @@ fn truncated_and_oversized_frames_are_errors() {
         );
     }
 }
+
+#[test]
+fn non_finite_or_negative_demands_are_protocol_errors() {
+    // The decoder runs on the event-loop thread: a hostile volume must be
+    // a protocol error (the connection is hung up), never a panic.
+    let tm = TrafficMatrix::new(vec![1.0, 2.0, 3.0]);
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        let mut buf = Vec::new();
+        wire::encode_request(&mut buf, 9, &SubmitRequest::new("b4", tm.clone()));
+        // Demands are the payload's tail; poison the middle one.
+        let n = buf.len();
+        buf[n - 16..n - 8].copy_from_slice(&bad.to_le_bytes());
+        match wire::decode_request(&buf) {
+            Err(wire::WireError::Protocol(m)) => {
+                assert!(
+                    m.contains("demand 1"),
+                    "demand {bad}: unhelpful error {m:?}"
+                )
+            }
+            other => panic!("demand {bad}: expected a protocol error, got {other:?}"),
+        }
+    }
+}

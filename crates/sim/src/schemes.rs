@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use teal_baselines::{
     solve_lp_top, solve_ncflow, solve_pop, solve_teavar, NcflowConfig, PopConfig, TeavarConfig,
 };
-use teal_core::{Env, PolicyModel, TealEngine};
+use teal_core::{Env, PolicyModel, ServingContext};
 use teal_lp::{fleischer, solve_lp, Allocation, LpConfig, Objective, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
@@ -263,18 +263,13 @@ impl Scheme for ShortestPathScheme {
 
 /// Teal: one forward pass + warm-started ADMM.
 pub struct TealScheme<M: PolicyModel> {
-    engine: TealEngine<M>,
+    ctx: ServingContext<M>,
 }
 
 impl<M: PolicyModel> TealScheme<M> {
-    /// Wrap a trained engine.
-    pub fn new(engine: TealEngine<M>) -> Self {
-        TealScheme { engine }
-    }
-
-    /// Access the engine.
-    pub fn engine(&self) -> &TealEngine<M> {
-        &self.engine
+    /// Wrap a trained model's serving context.
+    pub fn new(ctx: ServingContext<M>) -> Self {
+        TealScheme { ctx }
     }
 }
 
@@ -284,7 +279,7 @@ impl<M: PolicyModel> Scheme for TealScheme<M> {
     }
 
     fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        self.engine.allocate_on(topo, tm)
+        self.ctx.allocate_on(topo, tm)
     }
 
     fn allocate_batch(
@@ -292,7 +287,7 @@ impl<M: PolicyModel> Scheme for TealScheme<M> {
         topo: &Topology,
         tms: &[TrafficMatrix],
     ) -> (Vec<Allocation>, Duration) {
-        self.engine.allocate_batch_on(topo, tms)
+        self.ctx.allocate_batch_on(topo, tms)
     }
 }
 
@@ -319,7 +314,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+        let engine = ServingContext::new(model, EngineConfig::paper_default(12));
         let mut schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow)),
             Box::new(LpTopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
@@ -350,7 +345,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+        let engine = ServingContext::new(model, EngineConfig::paper_default(12));
         let mut scheme = TealScheme::new(engine);
         let tms: Vec<TrafficMatrix> = (0..4)
             .map(|i| TrafficMatrix::new(vec![6.0 + 11.0 * i as f64; env.num_demands()]))

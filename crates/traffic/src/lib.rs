@@ -13,5 +13,5 @@ pub mod matrix;
 pub mod perturb;
 
 pub use gen::{SplitSpec, TrafficConfig, TrafficModel};
-pub use matrix::{inter_interval_variance, TrafficMatrix};
+pub use matrix::{inter_interval_variance, InvalidDemand, TrafficMatrix};
 pub use perturb::{spatial_redistribution, temporal_fluctuation};

@@ -11,14 +11,46 @@ pub struct TrafficMatrix {
     demands: Vec<f64>,
 }
 
+/// A demand volume rejected by [`TrafficMatrix::try_new`]: NaN, infinite
+/// or negative.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct InvalidDemand {
+    /// Position of the first offending volume.
+    pub index: usize,
+    /// The offending volume.
+    pub value: f64,
+}
+
+impl std::fmt::Display for InvalidDemand {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "demand {} is {}; demands must be finite and non-negative",
+            self.index, self.value
+        )
+    }
+}
+
+impl std::error::Error for InvalidDemand {}
+
 impl TrafficMatrix {
-    /// Wrap a demand vector. All volumes must be finite and non-negative.
+    /// Wrap a demand vector. All volumes must be finite and non-negative;
+    /// panics otherwise (untrusted input goes through
+    /// [`TrafficMatrix::try_new`]).
     pub fn new(demands: Vec<f64>) -> Self {
-        assert!(
-            demands.iter().all(|d| d.is_finite() && *d >= 0.0),
-            "demands must be finite and non-negative"
-        );
-        TrafficMatrix { demands }
+        Self::try_new(demands).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Wrap a demand vector, rejecting the first volume that is not finite
+    /// and non-negative.
+    pub fn try_new(demands: Vec<f64>) -> Result<Self, InvalidDemand> {
+        match demands.iter().position(|d| !(d.is_finite() && *d >= 0.0)) {
+            Some(index) => Err(InvalidDemand {
+                index,
+                value: demands[index],
+            }),
+            None => Ok(TrafficMatrix { demands }),
+        }
     }
 
     /// Number of demands.
@@ -126,6 +158,17 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_demand_rejected() {
         let _ = TrafficMatrix::new(vec![-1.0]);
+    }
+
+    #[test]
+    fn try_new_names_the_first_bad_volume() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let e = TrafficMatrix::try_new(vec![1.0, bad, -2.0]).unwrap_err();
+            assert_eq!(e.index, 1);
+            assert!(e.value.is_nan() == bad.is_nan() && (bad.is_nan() || e.value == bad));
+        }
+        let tm = TrafficMatrix::try_new(vec![0.0, 3.5]).expect("valid volumes");
+        assert_eq!(tm, TrafficMatrix::new(vec![0.0, 3.5]));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! Run with: `cargo run --release --example failure_recovery`
 
 use std::sync::Arc;
-use teal::core::{train_coma, ComaConfig, EngineConfig, Env, TealConfig, TealEngine, TealModel};
+use teal::core::{
+    train_coma, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
+};
 use teal::lp::evaluate;
 use teal::topology::b4;
 use teal::traffic::{TrafficConfig, TrafficModel};
@@ -29,7 +31,7 @@ fn main() {
         ..ComaConfig::default()
     };
     let _ = train_coma(&mut model, &train, &val, &cfg);
-    let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(12));
 
     // Pre-failure allocation on the intact topology.
     let (pre, _) = engine.allocate(&tm);

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use teal::core::{
-    train_coma, ComaConfig, EngineConfig, Env, RewardKind, TealConfig, TealEngine, TealModel,
+    train_coma, ComaConfig, EngineConfig, Env, RewardKind, ServingContext, TealConfig, TealModel,
 };
 use teal::lp::{evaluate_with_gamma, Objective};
 use teal::topology::{generate, TopoKind};
@@ -60,7 +60,7 @@ fn main() {
         } else {
             EngineConfig::without_admm(obj)
         };
-        let engine = TealEngine::new(model, engine_cfg);
+        let engine = ServingContext::new(model, engine_cfg);
 
         let (mut sat, mut mlu, mut pen) = (0.0, 0.0, 0.0);
         for tm in &test {

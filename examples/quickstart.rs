@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use teal::core::{
-    train_coma, validate, ComaConfig, EngineConfig, Env, TealConfig, TealEngine, TealModel,
+    train_coma, validate, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
 };
 use teal::lp::{evaluate, solve_lp, LpConfig, Objective};
 use teal::topology::b4;
@@ -59,7 +59,7 @@ fn main() {
     }
 
     // --- 4. Deploy: one forward pass + 2 ADMM iterations per matrix (§4).
-    let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(12));
     let mut teal_sat = 0.0;
     let mut lp_sat = 0.0;
     let mut teal_time = 0.0;

@@ -10,7 +10,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use teal::core::{train_coma, ComaConfig, EngineConfig, Env, TealConfig, TealEngine, TealModel};
+use teal::core::{
+    train_coma, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
+};
 use teal::lp::Objective;
 use teal::sim::{
     run_online, FleischerScheme, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme, Scheme,
@@ -48,7 +50,7 @@ fn main() {
     };
     eprintln!("training Teal ({} demands)...", env.num_demands());
     let _ = train_coma(&mut model, &train, &val, &cfg);
-    let engine = TealEngine::new(model, EngineConfig::paper_default(env.topo().num_nodes()));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(env.topo().num_nodes()));
 
     // TE interval chosen so LP-all stands in the same runtime-to-interval
     // ratio as the paper measured on Kdl (585 s against a 300 s budget).

@@ -23,7 +23,7 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use teal::core::{train_coma, ComaConfig, Env, EngineConfig, TealConfig, TealEngine, TealModel};
+//! use teal::core::{train_coma, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel};
 //! use teal::topology::b4;
 //! use teal::traffic::{TrafficConfig, TrafficModel};
 //!
@@ -37,11 +37,14 @@
 //! // 3. Train.
 //! let mut model = TealModel::new(Arc::clone(&env), TealConfig::default());
 //! train_coma(&mut model, &train, &val, &ComaConfig::default());
-//! // 4. Deploy: one forward pass + 2 ADMM iterations per traffic matrix.
-//! let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+//! // 4. Deploy: one forward pass + 2 ADMM iterations per window of traffic
+//! //    matrices; `allocate` is a window of one.
+//! let ctx = ServingContext::new(model, EngineConfig::paper_default(12));
 //! let tm = traffic.series(40, 1).remove(0);
-//! let (allocation, elapsed) = engine.allocate(&tm);
+//! let (allocation, elapsed) = ctx.allocate(&tm);
 //! println!("allocated {} demands in {:?}", allocation.num_demands(), elapsed);
+//! let (window, elapsed) = ctx.allocate_batch(&traffic.series(41, 8));
+//! println!("allocated a window of {} matrices in {:?}", window.len(), elapsed);
 //! ```
 //!
 //! ## Unsafe inventory & correctness tooling

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use teal::core::PolicyModel;
 use teal::core::{
-    train_coma, validate, ComaConfig, EngineConfig, Env, TealConfig, TealEngine, TealModel,
+    train_coma, validate, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
 };
 use teal::lp::{evaluate, solve_lp, Allocation, LpConfig, Objective};
 use teal::topology::b4;
@@ -42,7 +42,7 @@ fn train_then_allocate_beats_untrained() {
     );
 
     // Deployment engine produces feasible allocations quickly.
-    let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(12));
     for tm in &test {
         let (alloc, dt) = engine.allocate(tm);
         assert!(alloc.demand_feasible(1e-6));
@@ -122,7 +122,7 @@ fn training_is_deterministic_under_seed() {
 fn admm_fine_tuning_never_ruins_demand_feasibility() {
     let env = b4_env();
     let model = TealModel::new(Arc::clone(&env), TealConfig::default());
-    let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(12));
     for seed in 0..5 {
         let tm = traffic(&env, 0, 1, seed).remove(0);
         let (alloc, _) = engine.allocate(&tm);
@@ -146,7 +146,7 @@ fn failure_recovery_without_retraining() {
         ..ComaConfig::default()
     };
     let _ = train_coma(&mut model, &train, &val, &cfg);
-    let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(12));
 
     let (pre, _) = engine.allocate(&tm);
     let failed = env.topo().with_failed_link(0, 1);

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use teal::core::{Env, FlowSim, PolicyModel, TealConfig, TealModel};
 use teal::lp::simplex::{self, Row, SimplexStatus};
-use teal::lp::{evaluate, pathlp, AdmmConfig, AdmmSolver, Allocation, Objective, TeInstance};
+use teal::lp::{evaluate, pathlp, AdmmConfig, AdmmSkeleton, Allocation, Objective, TeInstance};
 use teal::nn::{Graph, Tensor};
 use teal::topology::{generate, PathSet, TopoKind, Topology};
 use teal::traffic::TrafficMatrix;
@@ -111,11 +111,13 @@ proptest! {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![volume, volume * 0.5, volume * 0.25]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
-        let (out, rep) = solver.run(
-            &Allocation::zeros(3, 4),
-            AdmmConfig { rho: 1.0, max_iters: 200, tol: 1e-4, serial: false },
-        );
+        let (mut outs, reps) = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow)
+            .batch_solver(std::slice::from_ref(&tm))
+            .run_batch(
+                &[Allocation::zeros(3, 4)],
+                AdmmConfig { rho: 1.0, max_iters: 200, tol: 1e-4, serial: false },
+            );
+        let (out, rep) = (outs.pop().expect("one lane"), reps[0]);
         prop_assert!(out.demand_feasible(1e-6));
         prop_assert!(rep.primal_residual.is_finite());
         let flow = evaluate(&inst, &out).realized_flow;
